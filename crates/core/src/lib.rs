@@ -37,6 +37,7 @@
 pub mod cascade;
 pub mod clock;
 mod config;
+mod counters;
 pub mod efficient;
 mod error;
 mod layout;

@@ -165,7 +165,7 @@ fn probe_sweep(core: &Shared) {
 /// [`Endpoint::remote_shard_views`]): everything the
 /// [`ClusterCoordinator`] scores, snapshotted from one coherent slot
 /// list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemoteShardView {
     /// Process-wide unique slot id, stable for the slot's lifetime
     /// (shard *indices* shift as slots splice in and out; topology

@@ -76,8 +76,7 @@ pub use cluster::{ClusterConfig, ClusterCoordinator, ClusterHandle, Migration, R
 pub use e2e_cache::E2eCachedPredictor;
 pub use error::ServeError;
 pub use monitor::{
-    EndpointSample, MonitorConfig, MonitorEvent, MonitorHandle, MonitorSample, ShardSample,
-    StatsHub, TimedEvent,
+    EndpointSample, MonitorConfig, MonitorEvent, MonitorHandle, MonitorSample, StatsHub, TimedEvent,
 };
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, error_wire,

@@ -324,6 +324,54 @@ fn add_drain_remove_validate_shard_indices() {
     );
 }
 
+/// Endpoint shard totals are cumulative: detaching a remote shard by
+/// `remove_shard` or `drain_shard` keeps what it served in
+/// `shard_requests` / `shard_transport_nanos`, so they never go
+/// backwards and monitor deltas still telescope across the detach.
+#[test]
+fn shard_totals_survive_remove_and_drain() {
+    let mut backend_builder = ServingRuntime::builder();
+    backend_builder.endpoint("m", Arc::new(Affine)).shards(1);
+    let backend = backend_builder.build().expect("backend builds");
+
+    let mut b = ServingRuntime::builder();
+    b.endpoint("m", Arc::new(Affine)).shards(1);
+    let runtime = b.build().expect("runtime builds");
+    let ep = runtime.endpoint("m", 1).expect("endpoint exists");
+    let client = runtime.client();
+    let key = key_for_shard(1, 2);
+
+    for detach in ["remove", "drain"] {
+        runtime
+            .add_remote_shard("m", 1, Arc::new(InProcessWorker::new(&backend)))
+            .expect("attach in-process shard");
+        for i in 0..5 {
+            client
+                .predict_keyed("m", &key, wire_rows(&[f64::from(i)]))
+                .expect("remote slot serves");
+        }
+        let before = ep.stats().snapshot();
+        assert!(
+            before.shard_transport_nanos > 0,
+            "{detach}: remote hop timed"
+        );
+        match detach {
+            "remove" => runtime.remove_shard("m", 1, 1).expect("remove detaches"),
+            _ => runtime
+                .drain_shard("m", 1, 1, Duration::from_secs(10))
+                .expect("drain detaches"),
+        }
+        assert_eq!(ep.shards(), 1);
+        let after = ep.stats().snapshot();
+        assert_eq!(after.shard_requests, before.shard_requests, "{detach}");
+        assert_eq!(
+            after.shard_transport_nanos, before.shard_transport_nanos,
+            "{detach}"
+        );
+    }
+    assert_eq!(ep.stats().snapshot().shard_requests, 10);
+}
+
 /// Drain / Join control frames flip node-level admission: a draining
 /// node refuses new predictions with the Overloaded marker (so a
 /// parent relays rather than fail-over-storms), keeps answering
