@@ -10,7 +10,7 @@
 //! Paper Table 6 serves Willump-optimized pipelines through Clipper
 //! and observes that (a) fixed per-request overheads amortize with
 //! batch size, and (b) variable serialization overheads remain. Both
-//! effects are real here: every request and response passes through
+//! effects are real here: every client request and response passes through
 //! `serde_json`, and workers *coalesce* — all same-endpoint,
 //! same-schema requests drained in one iteration merge into a single
 //! model-level batch (one `predict_table` call), so concurrent small
@@ -32,8 +32,10 @@
 //! - **Cross-process sharding** ([`WorkerTransport`]): a shard can be
 //!   served by a *remote runtime* — an [`RemoteRuntimeNode`]-hosted
 //!   process reached over TCP by a [`RemoteWorker`]
-//!   ([`EndpointBuilder::shard_remote`]) — behind the same admission
-//!   path, with per-shard transport latency in [`EndpointStats`],
+//!   ([`EndpointBuilder::shard_remote`]) speaking the binary
+//!   [`wire2`] protocol, the only protocol of that hop — behind the
+//!   same admission path, with per-shard transport latency in
+//!   [`EndpointStats`],
 //!   automatic fail-over to surviving shards, and remote plan
 //!   counters folded into the scheduler's view
 //!   ([`ServingRuntime::refresh_remote_counters`]).

@@ -5,12 +5,11 @@
 //! etc.) which Willump cannot reduce". Encoding/decoding here costs
 //! genuine CPU proportional to payload size.
 //!
-//! This newline-delimited JSON form is the *client boundary* and the
-//! legacy peer format. Between current shard-forwarding peers the same
-//! [`Request`]/[`Response`] structs travel as compact binary frames
-//! instead — see [`crate::wire2`] for the frame layout, version
-//! negotiation, and the JSON fallback (the `micro` bench's
-//! `wirecodec` section records the per-frame cost of each).
+//! This newline-delimited JSON form is the *client boundary*. Between
+//! shard-forwarding peers the same [`Request`]/[`Response`] structs
+//! travel only as compact binary frames — see [`crate::wire2`] for
+//! the frame layout and the handshake (the `micro` bench's
+//! `wirecodec` section records the per-frame cost of each codec).
 //!
 //! # Addressing and back-compat
 //!

@@ -1,48 +1,46 @@
 //! Cross-process sharding: the [`WorkerTransport`] layer.
 //!
 //! The [`crate::ServingRuntime`] routes every admitted request to a
-//! shard of its target endpoint. Through PR 4 a shard was always an
-//! in-process worker queue; this module makes the shard → execution
-//! hop **pluggable**, so one endpoint can mix in-process shards with
-//! shards served by *other runtimes* — in the same process or across
-//! a TCP boundary in another process — behind the same admission
-//! path, key-hash routing, canary/version selection, and
+//! shard of its target endpoint. This module makes the shard →
+//! execution hop **pluggable**, so one endpoint can mix in-process
+//! shards with shards served by *other runtimes* — in the same process
+//! or across a TCP boundary in another process — behind the same
+//! admission path, key-hash routing, canary/version selection, and
 //! [`crate::EndpointStats`] accounting.
 //!
 //! Three pieces:
 //!
 //! - [`WorkerTransport`]: the trait a shard's execution backend
-//!   implements — take one request, return the response.
+//!   implements. It has one forwarding method,
+//!   [`forward_request`](WorkerTransport::forward_request): take one
+//!   structured [`Request`], return the decoded [`Response`].
 //!   Implementations report [`TransportStats`] (forwards, failures,
 //!   reconnects, cumulative latency, bytes on the wire, peak
 //!   in-flight depth, decode errors), which the runtime surfaces per
 //!   shard.
-//! - [`RemoteWorker`]: the TCP implementation. It negotiates the
+//! - [`RemoteWorker`]: the TCP implementation. It speaks the
 //!   [`crate::wire2`] binary protocol and **multiplexes** every
 //!   in-flight forward onto one socket: each forward is tagged with a
 //!   mux request id, written without waiting, and parked until a
 //!   demultiplexing reader thread routes the matching response frame
-//!   back to it — so concurrent forwards overlap on one connection
-//!   instead of checking out pooled sockets. Peers that do not speak
-//!   v2 (an older node answers the negotiation preamble with a JSON
-//!   error line) transparently fall back to the legacy pooled
-//!   newline-JSON path. Both paths preserve the same failure
-//!   semantics: one transparent retry on a *connection-level* failure
-//!   (the response can no longer arrive), but **never** after a read
-//!   timeout — the node may still be executing the request, and
-//!   resending would double-execute it exactly when the node is most
-//!   loaded — plus a consecutive-failure circuit breaker that fails
-//!   fast while a shard stays dead.
+//!   back to it — so concurrent forwards overlap on one connection.
+//!   Failure semantics: one transparent retry on a *connection-level*
+//!   failure (the response can no longer arrive), but **never** after
+//!   a read timeout — the node may still be executing the request,
+//!   and resending would double-execute it exactly when the node is
+//!   most loaded — plus a consecutive-failure circuit breaker that
+//!   fails fast while a shard stays dead. A forward succeeds only
+//!   once its response decodes.
 //! - [`RemoteRuntimeNode`]: the host side. Binds a listener and
 //!   exposes a whole [`crate::ServingRuntime`] — all of its endpoints
 //!   — to parent routers. A single **poll-based event loop** over
 //!   nonblocking sockets owns every accepted connection (no
-//!   thread-per-connection): it sniffs each connection's first line
-//!   to pick v2-binary or legacy-JSON mode, reassembles frames with a
-//!   bounded read (an oversized or corrupt length prefix is counted
-//!   in `decode_errors` and refused, never trusted), and dispatches
-//!   decoded requests to a small fixed worker pool whose completions
-//!   are demultiplexed back onto the right connection by mux id.
+//!   thread-per-connection): it checks each connection's handshake,
+//!   reassembles frames with a bounded read (an oversized or corrupt
+//!   length prefix is counted in `decode_errors` and refused, never
+//!   trusted), and dispatches decoded requests to a small fixed worker
+//!   pool whose completions are demultiplexed back onto the right
+//!   connection by mux id.
 //!
 //! The **local queue** implementation of the trait is
 //! [`InProcessWorker`]: it forwards requests to another runtime in
@@ -52,9 +50,22 @@
 //! in-process shard path is just the degenerate transport whose
 //! "wire" is a channel send.
 //!
-//! Forwarded frames set [`crate::Request::forwarded`], which pins
+//! Forwarded requests set [`crate::Request::forwarded`], which pins
 //! them to the receiving node's *local* shards — a node can itself
 //! have remote shards without ever creating a forwarding loop.
+//!
+//! # Negotiation
+//!
+//! Every connection opens with one handshake. The [`RemoteWorker`]
+//! writes [`WIRE2_PREAMBLE`]; the node answers with a
+//! [`FrameType::HelloAck`] frame, and from then on both directions
+//! carry only wire2 frames. There is no second mode: the node drops a
+//! connection at the first byte that departs from the preamble
+//! (counting one `decode_errors`), and the worker fails a dial whose
+//! reply is anything but a `HelloAck` with [`ServeError::Transport`].
+//! Both ends ship from this workspace, so a peer that answers in
+//! another protocol is misconfigured. JSON stays at the client
+//! boundary ([`crate::protocol`]), where Table 6 measures its cost.
 //!
 //! # Examples
 //!
@@ -95,8 +106,8 @@
 //! # }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::HashMap;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -108,12 +119,12 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump::PlanCountersSnapshot;
 
-use crate::protocol::{decode_response, encode_request, Request, Response, ERROR_RESPONSE_ID};
+use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
 use crate::runtime::{RuntimeClient, ServingRuntime};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
     encode_request_payload, encode_response_payload, read_frame, FrameReadError, FrameType,
-    WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_PREAMBLE_LINE, WIRE2_VERSION,
+    WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
 };
 use crate::ServeError;
 
@@ -127,18 +138,16 @@ use crate::ServeError;
 /// counters; implementations additionally keep their own
 /// [`TransportStats`].
 pub trait WorkerTransport: Send + Sync {
-    /// Forward one encoded legacy JSON request frame; return the raw
-    /// wire response. This is the lowest common denominator every
-    /// transport speaks; [`forward_request`] rides on it by default.
-    ///
-    /// [`forward_request`]: WorkerTransport::forward_request
+    /// Forward one structured [`Request`]; return the decoded
+    /// [`Response`] plus the bytes that crossed the wire.
     ///
     /// # Errors
-    /// Returns [`ServeError::Transport`] (or
-    /// [`ServeError::Disconnected`]) when the backing worker cannot
-    /// be reached; the runtime then fails the request over to a
-    /// surviving shard.
-    fn forward(&self, frame: &str) -> Result<String, ServeError>;
+    /// [`ServeError::Transport`] (or [`ServeError::Disconnected`])
+    /// when the backing worker cannot be reached or its reply cannot
+    /// be decoded — the runtime then fails the request over to a
+    /// surviving shard — and [`ServeError::Codec`] when the request
+    /// exceeds the frame bound.
+    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError>;
 
     /// Human-readable backend description (`"tcp://127.0.0.1:9001"`,
     /// `"in-process"`), used in stats dumps and error messages.
@@ -147,44 +156,19 @@ pub trait WorkerTransport: Send + Sync {
     /// Cumulative transport counters.
     fn stats(&self) -> TransportStats;
 
-    /// Forward one structured [`Request`]; return the decoded
-    /// [`Response`] plus the bytes that crossed the wire. The default
-    /// encodes to the legacy JSON frame and rides
-    /// [`forward`](WorkerTransport::forward); [`RemoteWorker`]
-    /// overrides it to skip JSON entirely and ship the compact
-    /// [`crate::wire2`] binary payload over its multiplexed
-    /// connection.
+    /// Forward a control/probe request and return its response.
+    /// Defaults to [`forward_request`] (probes then count as ordinary
+    /// forwards); implementations whose stats feed latency dashboards
+    /// should override this to keep probe round trips out of
+    /// [`TransportStats`], as [`RemoteWorker`] does.
+    ///
+    /// [`forward_request`]: WorkerTransport::forward_request
     ///
     /// # Errors
-    /// [`ServeError::Transport`]/[`ServeError::Disconnected`] when
-    /// the backing worker cannot be reached, [`ServeError::Codec`]
-    /// when the request cannot be encoded or the reply cannot be
-    /// decoded.
-    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
-        let frame = encode_request(req)?;
-        let bytes_sent = frame.len() as u64;
-        let wire = self.forward(&frame)?;
-        let bytes_received = wire.len() as u64;
-        let response = decode_response(&wire)?;
-        Ok(ForwardReply {
-            response,
-            bytes_sent,
-            bytes_received,
-        })
-    }
-
-    /// Forward a control/probe frame. Defaults to [`forward`]
-    /// (probes then count as ordinary forwards); implementations
-    /// whose stats feed latency dashboards should override this to
-    /// keep probe round trips out of [`TransportStats`], as
-    /// [`RemoteWorker`] does.
-    ///
-    /// [`forward`]: WorkerTransport::forward
-    ///
-    /// # Errors
-    /// Same conditions as [`forward`](WorkerTransport::forward).
-    fn forward_probe(&self, frame: &str) -> Result<String, ServeError> {
-        self.forward(frame)
+    /// Same conditions as
+    /// [`forward_request`](WorkerTransport::forward_request).
+    fn forward_probe(&self, req: &Request) -> Result<Response, ServeError> {
+        self.forward_request(req).map(|reply| reply.response)
     }
 
     /// Where this transport's circuit breaker stands right now.
@@ -197,7 +181,7 @@ pub trait WorkerTransport: Send + Sync {
 
     /// Ask the backing runtime for one endpoint's
     /// [`PlanCountersSnapshot`] via a
-    /// [`crate::ControlRequest::Counters`] probe frame.
+    /// [`crate::ControlRequest::Counters`] probe.
     ///
     /// This is how a parent's escalation-aware scheduler reads plan
     /// statistics that accumulated in another process (see
@@ -211,8 +195,7 @@ pub trait WorkerTransport: Send + Sync {
         endpoint: &str,
         version: u32,
     ) -> Result<PlanCountersSnapshot, ServeError> {
-        let frame = encode_request(&Request::counters_probe(1))?;
-        let resp = decode_response(&self.forward_probe(&frame)?)?;
+        let resp = self.forward_probe(&Request::counters_probe(1))?;
         extract_counters(resp, endpoint, version, &self.describe())
     }
 }
@@ -348,7 +331,7 @@ fn enter_in_flight<'a>(gauge: &'a AtomicUsize, counters: &TransportCounters) -> 
 
 // ---- the local-queue transport -------------------------------------
 
-/// The local implementation of [`WorkerTransport`]: forwards frames
+/// The local implementation of [`WorkerTransport`]: forwards requests
 /// to another [`ServingRuntime`] *in the same process* through a
 /// regular client handle (whose sends land on the target runtime's
 /// worker queues).
@@ -384,24 +367,9 @@ impl InProcessWorker {
 }
 
 impl WorkerTransport for InProcessWorker {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
-        let start = Instant::now();
-        let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        match self.client.call_raw(frame.to_string()) {
-            Ok(wire) => {
-                self.counters.record_success(start.elapsed());
-                Ok(wire)
-            }
-            Err(e) => {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// Skips the JSON boundary entirely: the request reaches the
-    /// target runtime's admission path as a struct (the "wire" is a
-    /// channel send, so both byte counts are 0).
+    /// The request reaches the target runtime's admission path as a
+    /// struct (the "wire" is a channel send, so both byte counts are
+    /// 0).
     fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         let start = Instant::now();
         let _guard = enter_in_flight(&self.in_flight, &self.counters);
@@ -434,17 +402,10 @@ impl WorkerTransport for InProcessWorker {
 
 // ---- the TCP transport ---------------------------------------------
 
-/// One half-open legacy connection: the write side and a buffered
-/// read side of the same stream.
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
 /// One response (or drop notice) routed to a parked mux waiter.
 enum MuxEvent {
-    /// A response frame arrived for this waiter's mux id.
-    Frame(FrameType, Vec<u8>),
+    /// A response frame's payload arrived for this waiter's mux id.
+    Frame(Vec<u8>),
     /// The connection died before the response arrived; the response
     /// can no longer arrive here, so a fresh-connection retry is safe.
     Dropped,
@@ -498,14 +459,14 @@ fn mux_reader(
                     .bytes_received
                     .fetch_add((WIRE2_HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
                 match hdr.frame_type {
-                    FrameType::BinResponse | FrameType::JsonResponse => {
+                    FrameType::BinResponse => {
                         let waiter = conn.waiters.lock().remove(&hdr.request_id);
                         if let Some(tx) = waiter {
-                            let _ = tx.send(MuxEvent::Frame(hdr.frame_type, payload));
+                            let _ = tx.send(MuxEvent::Frame(payload));
                         }
                     }
                     FrameType::HelloAck => {}
-                    FrameType::BinRequest | FrameType::JsonRequest => {
+                    FrameType::BinRequest => {
                         // A node must answer with response frames;
                         // request frames here mean the stream is torn.
                         counters.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -531,15 +492,6 @@ fn mux_reader(
     }
 }
 
-/// What a fresh dial negotiated.
-enum Negotiated {
-    /// The peer speaks wire2: a live multiplexed connection.
-    Mux(Arc<MuxConn>),
-    /// The peer answered the preamble with a JSON line: a legacy
-    /// newline-JSON connection.
-    Legacy(Conn),
-}
-
 /// How one mux round trip failed.
 struct MuxFailure {
     /// Connection-level: the response can no longer arrive on this
@@ -550,15 +502,9 @@ struct MuxFailure {
     error: ServeError,
 }
 
-/// What a mux forward produced.
-enum MuxServed {
-    /// A response frame (type, payload, bytes sent, bytes received).
-    Frame(FrameType, Vec<u8>, u64, u64),
-    /// The dial discovered a legacy peer mid-forward: the connection
-    /// went to the idle pool and the caller should take the legacy
-    /// JSON path.
-    PeerIsLegacy,
-}
+/// What one mux round trip produced: the response payload, then the
+/// bytes sent and received (frame headers included).
+type MuxReply = (Vec<u8>, u64, u64);
 
 /// A TCP [`WorkerTransport`]: forwards requests to a
 /// [`RemoteRuntimeNode`] (typically in another process) over the
@@ -568,17 +514,13 @@ enum MuxServed {
 /// one socket, tagged with a mux request id and parked until the
 /// demux reader routes its response frame back — so parallel requests
 /// to one shard overlap their round trips without per-request
-/// sockets. Dialing is **lazy** (nothing until the first forward) and
-/// **negotiated**: a peer that does not speak v2 is detected on the
-/// first dial and served over the legacy pooled newline-JSON path for
-/// the life of this worker
-/// ([`with_legacy_json`](Self::with_legacy_json) forces that path
-/// without probing).
+/// sockets. Dialing is **lazy** (nothing until the first forward), and
+/// each dial performs the preamble/`HelloAck` handshake described in
+/// [`crate::wire2`].
 ///
-/// Failure semantics match the legacy transport exactly: a connect,
-/// send, or connection-drop failure retries once on a fresh
-/// connection before the error is reported, so a restarted node is
-/// picked back up without intervention. A **read timeout** is
+/// A connect, send, or connection-drop failure retries once on a
+/// fresh connection before the error is reported, so a restarted node
+/// is picked back up without intervention. A **read timeout** is
 /// deliberately *not* retried: the node may be alive and still
 /// executing the request, and resending the frame would execute it a
 /// second time exactly when the node is at its most loaded — the
@@ -586,24 +528,19 @@ enum MuxServed {
 /// what to do. (Unlike a drop, a timeout leaves the multiplexed
 /// connection in service: other in-flight forwards are unaffected,
 /// and a response arriving after its waiter gave up is discarded by
-/// mux id.)
+/// mux id.) A response that arrives but does not decode is a failed
+/// forward: it counts in `decode_errors` and `failures`, feeds the
+/// circuit breaker, and never counts as a success.
 pub struct RemoteWorker {
     addr: String,
     timeout: Duration,
-    /// Never negotiate v2 (forced by [`Self::with_legacy_json`]).
-    force_legacy: bool,
-    /// The peer answered the v2 preamble with a JSON line: stop
-    /// negotiating and speak legacy for the life of this worker.
-    peer_legacy: AtomicBool,
     /// The live multiplexed connection, if any.
     mux: Mutex<Option<Arc<MuxConn>>>,
-    /// Idle legacy connections (only used against legacy peers).
-    idle: Mutex<Vec<Conn>>,
     /// Current in-flight depth (feeds `TransportStats::max_in_flight`).
     in_flight: AtomicUsize,
     /// A failure happened since the last successful dial (drives
-    /// reconnect accounting: a dial that clears this counts as a
-    /// reconnect, a dial that merely grows the pool does not).
+    /// reconnect accounting: the dial that clears this counts as a
+    /// reconnect).
     broken: AtomicBool,
     /// Circuit breaker: consecutive failed forwards, and when the
     /// last one happened. Once `consecutive_failures` reaches
@@ -620,12 +557,6 @@ pub struct RemoteWorker {
     counters: Arc<TransportCounters>,
 }
 
-/// Idle legacy connections kept per [`RemoteWorker`]; checkouts
-/// beyond this still dial (concurrency is unbounded), the surplus is
-/// just not pooled on return. Only the legacy-JSON fallback path
-/// pools connections — the v2 path multiplexes one socket.
-const REMOTE_WORKER_POOL: usize = 8;
-
 /// Default consecutive-failure threshold that opens a
 /// [`RemoteWorker`]'s circuit breaker (see
 /// [`RemoteWorker::with_breaker`]).
@@ -634,14 +565,6 @@ pub const REMOTE_WORKER_BREAKER_FAILURES: u64 = 3;
 /// Default cool-down an open [`RemoteWorker`] breaker waits before
 /// letting a half-open trial forward through.
 pub const REMOTE_WORKER_BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
-
-/// An I/O failure, classified by whether it was a read timeout (the
-/// request may still be executing remotely — never resent) or a
-/// connection-level failure (safe to retry on a fresh connection).
-struct IoFailure {
-    timed_out: bool,
-    error: ServeError,
-}
 
 impl std::fmt::Debug for RemoteWorker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -665,10 +588,7 @@ impl RemoteWorker {
         RemoteWorker {
             addr: addr.to_string(),
             timeout: REMOTE_WORKER_TIMEOUT,
-            force_legacy: false,
-            peer_legacy: AtomicBool::new(false),
             mux: Mutex::new(None),
-            idle: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
             consecutive_failures: AtomicU64::new(0),
@@ -701,32 +621,16 @@ impl RemoteWorker {
         self
     }
 
-    /// Skip v2 negotiation entirely and speak the legacy pooled
-    /// newline-JSON protocol (what [`RemoteWorker`] falls back to
-    /// automatically when the peer rejects the preamble). Useful for
-    /// pinning interop behavior in tests or against intermediaries
-    /// that cannot pass unknown bytes through.
-    #[must_use]
-    pub fn with_legacy_json(mut self) -> RemoteWorker {
-        self.force_legacy = true;
-        self
-    }
-
     /// The target address this transport forwards to.
     pub fn addr(&self) -> &str {
         &self.addr
     }
 
-    fn legacy_peer(&self) -> bool {
-        self.force_legacy || self.peer_legacy.load(Ordering::Relaxed)
-    }
-
-    /// Dial and negotiate. Sends the v2 preamble (unless this worker
-    /// is pinned legacy) and sniffs the first reply byte: the frame
-    /// magic means a v2 node (consume its `HelloAck`, start the demux
-    /// reader); anything else is a legacy node answering with a JSON
-    /// error line (consume the line, remember the peer is legacy).
-    fn dial(&self) -> Result<Negotiated, ServeError> {
+    /// Dial and negotiate: send [`WIRE2_PREAMBLE`], require a
+    /// `HelloAck` frame back, then start the demux reader. Any other
+    /// reply — another frame, bytes that are no frame at all, or a
+    /// hang-up — fails the dial with [`ServeError::Transport`].
+    fn dial(&self) -> Result<Arc<MuxConn>, ServeError> {
         let io = |e: std::io::Error| ServeError::Transport(format!("{}: {e}", self.addr));
         let sockaddr = self
             .addr
@@ -742,108 +646,43 @@ impl RemoteWorker {
         stream.set_nodelay(true).map_err(io)?;
         let mut writer = stream;
         let mut reader = BufReader::new(writer.try_clone().map_err(io)?);
-        if self.legacy_peer() {
-            return Ok(Negotiated::Legacy(Conn { writer, reader }));
-        }
         writer.write_all(WIRE2_PREAMBLE).map_err(io)?;
         writer.flush().map_err(io)?;
-        let first = loop {
-            match reader.fill_buf() {
-                Ok([]) => {
-                    return Err(ServeError::Transport(format!(
-                        "{}: node closed the connection during negotiation",
-                        self.addr
-                    )))
-                }
-                Ok(buf) => break buf[0],
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(io(e)),
-            }
-        };
-        if first == WIRE2_MAGIC {
-            match read_frame(&mut reader) {
-                Ok(Some((hdr, _))) if hdr.frame_type == FrameType::HelloAck => {}
-                Ok(_) => {
-                    return Err(ServeError::Transport(format!(
-                        "{}: unexpected frame during negotiation",
-                        self.addr
-                    )))
-                }
-                Err(e) => return Err(ServeError::Transport(format!("{}: {e}", self.addr))),
-            }
-            // The demux reader blocks without a read timeout (a
-            // timeout mid-frame would tear the stream for every
-            // in-flight forward); per-forward timeouts live on the
-            // waiters, and teardown wakes the reader via shutdown.
-            writer.set_read_timeout(None).map_err(io)?;
-            let wake = writer.try_clone().map_err(io)?;
-            let conn = Arc::new(MuxConn {
-                writer: Mutex::new(writer),
-                wake,
-                waiters: Mutex::new(HashMap::new()),
-                next_id: AtomicU32::new(1),
-                dead: AtomicBool::new(false),
-            });
-            let thread_conn = Arc::clone(&conn);
-            let counters = Arc::clone(&self.counters);
-            std::thread::Builder::new()
-                .name("willump-mux-reader".to_string())
-                .spawn(move || mux_reader(&thread_conn, &mut reader, &counters))
-                .map_err(io)?;
-            Ok(Negotiated::Mux(conn))
-        } else {
-            // A legacy node answered the preamble with a JSON error
-            // line: consume it, then reuse the connection as a
-            // perfectly good legacy one.
-            let mut line = Vec::new();
-            let n = reader.read_until(b'\n', &mut line).map_err(io)?;
-            if n == 0 {
+        match read_frame(&mut reader) {
+            Ok(Some((hdr, _))) if hdr.frame_type == FrameType::HelloAck => {}
+            Ok(_) => {
                 return Err(ServeError::Transport(format!(
-                    "{}: node closed the connection during negotiation",
+                    "{}: no HelloAck during negotiation",
                     self.addr
-                )));
+                )))
             }
-            self.peer_legacy.store(true, Ordering::Relaxed);
-            Ok(Negotiated::Legacy(Conn { writer, reader }))
+            Err(e) => {
+                return Err(ServeError::Transport(format!(
+                    "{}: negotiation failed: {e}",
+                    self.addr
+                )))
+            }
         }
-    }
-
-    /// One write + read round trip on an established legacy
-    /// connection.
-    fn round_trip(&self, conn: &mut Conn, frame: &str) -> Result<String, IoFailure> {
-        let io = |e: std::io::Error| IoFailure {
-            timed_out: matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
-            error: ServeError::Transport(format!("{}: {e}", self.addr)),
-        };
-        conn.writer.write_all(frame.as_bytes()).map_err(io)?;
-        conn.writer.write_all(b"\n").map_err(io)?;
-        conn.writer.flush().map_err(io)?;
-        self.counters
-            .bytes_sent
-            .fetch_add(frame.len() as u64 + 1, Ordering::Relaxed);
-        // Read raw bytes (a timeout mid-frame must not be confused
-        // with a UTF-8 boundary), then decode once the line is whole.
-        let mut buf = Vec::new();
-        let n = conn.reader.read_until(b'\n', &mut buf).map_err(io)?;
-        if n == 0 {
-            return Err(IoFailure {
-                timed_out: false,
-                error: ServeError::Transport(format!("{}: node closed the connection", self.addr)),
-            });
-        }
-        self.counters
-            .bytes_received
-            .fetch_add(n as u64, Ordering::Relaxed);
-        while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
-            buf.pop();
-        }
-        String::from_utf8(buf).map_err(|e| IoFailure {
-            timed_out: false,
-            error: ServeError::Transport(format!("{}: response is not UTF-8: {e}", self.addr)),
-        })
+        // The demux reader blocks without a read timeout (a timeout
+        // mid-frame would tear the stream for every in-flight
+        // forward); per-forward timeouts live on the waiters, and
+        // teardown wakes the reader via shutdown.
+        writer.set_read_timeout(None).map_err(io)?;
+        let wake = writer.try_clone().map_err(io)?;
+        let conn = Arc::new(MuxConn {
+            writer: Mutex::new(writer),
+            wake,
+            waiters: Mutex::new(HashMap::new()),
+            next_id: AtomicU32::new(1),
+            dead: AtomicBool::new(false),
+        });
+        let thread_conn = Arc::clone(&conn);
+        let counters = Arc::clone(&self.counters);
+        std::thread::Builder::new()
+            .name("willump-mux-reader".to_string())
+            .spawn(move || mux_reader(&thread_conn, &mut reader, &counters))
+            .map_err(io)?;
+        Ok(conn)
     }
 
     /// Fail this forward: remember the transport is broken (the next
@@ -855,8 +694,8 @@ impl RemoteWorker {
     }
 
     /// Fail this forward *without* marking the transport broken —
-    /// used for mux timeouts, where the connection stays in service
-    /// for the other in-flight forwards.
+    /// used for mux timeouts and undecodable replies, where the
+    /// connection stays in service for the other in-flight forwards.
     fn fail_keep(&self, error: ServeError, record: bool) -> ServeError {
         if record {
             self.counters.failures.fetch_add(1, Ordering::Relaxed);
@@ -867,8 +706,8 @@ impl RemoteWorker {
     }
 
     /// Record a counted forward's success and close the breaker.
-    fn succeed(&self, start: Instant) {
-        self.counters.record_success(start.elapsed());
+    fn succeed(&self, elapsed: Duration) {
+        self.counters.record_success(elapsed);
         self.consecutive_failures.store(0, Ordering::Relaxed);
     }
 
@@ -905,59 +744,34 @@ impl RemoteWorker {
         }
     }
 
-    /// Return a healthy legacy connection to the idle pool (bounded).
-    fn check_in(&self, conn: Conn) {
-        let mut idle = self.idle.lock();
-        if idle.len() < REMOTE_WORKER_POOL {
-            idle.push(conn);
-        }
-    }
-
-    /// Get the live mux connection or dial one. `Ok(None)` means the
-    /// dial discovered a legacy peer (its connection went to the idle
-    /// pool and `peer_legacy` is now set).
-    fn mux_establish(&self) -> Result<Option<Arc<MuxConn>>, ServeError> {
+    /// Get the live mux connection or dial one.
+    fn mux_establish(&self) -> Result<Arc<MuxConn>, ServeError> {
         let mut slot = self.mux.lock();
         if let Some(conn) = slot.as_ref() {
             if !conn.dead.load(Ordering::Relaxed) {
-                return Ok(Some(Arc::clone(conn)));
+                return Ok(Arc::clone(conn));
             }
             // The connection died since the last successful dial
-            // (node restart, reader error): like a stale pooled
-            // legacy connection, the fresh dial below must count as
-            // a reconnect even when no forward failed in between.
+            // (node restart, reader error): the fresh dial below must
+            // count as a reconnect even when no forward failed in
+            // between.
             self.broken.store(true, Ordering::Relaxed);
         }
-        match self.dial()? {
-            Negotiated::Mux(conn) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                *slot = Some(Arc::clone(&conn));
-                Ok(Some(conn))
-            }
-            Negotiated::Legacy(conn) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                self.check_in(conn);
-                Ok(None)
-            }
+        let conn = self.dial()?;
+        if self.broken.swap(false, Ordering::Relaxed) {
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
         }
+        *slot = Some(Arc::clone(&conn));
+        Ok(conn)
     }
 
     /// One tagged round trip on an established mux connection: board
     /// a waiter, write the frame (the writer lock covers the write
     /// only, never the wait), then park until the demux reader routes
     /// the response back or the per-forward timeout fires.
-    fn mux_round(
-        &self,
-        conn: &Arc<MuxConn>,
-        ftype: FrameType,
-        payload: &[u8],
-    ) -> Result<(FrameType, Vec<u8>, u64, u64), MuxFailure> {
+    fn mux_round(&self, conn: &Arc<MuxConn>, payload: &[u8]) -> Result<MuxReply, MuxFailure> {
         let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(ftype, id, payload).map_err(|e| MuxFailure {
+        let frame = encode_frame(FrameType::BinRequest, id, payload).map_err(|e| MuxFailure {
             retryable: false,
             timed_out: false,
             error: e,
@@ -994,9 +808,9 @@ impl RemoteWorker {
         let sent = frame.len() as u64;
         self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
         match rx.recv_timeout(self.timeout) {
-            Ok(MuxEvent::Frame(frame_type, body)) => {
+            Ok(MuxEvent::Frame(body)) => {
                 let received = (WIRE2_HEADER_LEN + body.len()) as u64;
-                Ok((frame_type, body, sent, received))
+                Ok((body, sent, received))
             }
             Ok(MuxEvent::Dropped) => Err(MuxFailure {
                 retryable: true,
@@ -1023,37 +837,17 @@ impl RemoteWorker {
         }
     }
 
-    /// The shared mux forward path: breaker check, one round on the
-    /// live connection, and — only for connection-level failures —
-    /// one retry on a fresh dial. `record: false` (counters probes)
-    /// skips the stats counters and breaker accounting.
-    fn mux_forward(
-        &self,
-        ftype: FrameType,
-        payload: &[u8],
-        record: bool,
-    ) -> Result<MuxServed, ServeError> {
-        // Probes (`record: false`) bypass the open breaker: they are
-        // exactly how an open shard is discovered to have recovered.
-        if record && self.breaker_open() {
-            self.counters.failures.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Transport(format!(
-                "{}: circuit open after {} consecutive failures",
-                self.addr,
-                self.consecutive_failures.load(Ordering::Relaxed)
-            )));
-        }
-        let start = Instant::now();
+    /// One round on the live connection and — only for
+    /// connection-level failures — one retry on a fresh dial.
+    /// Failures are recorded here; success is the caller's to record
+    /// once the reply decodes. `record: false` (probes) skips the
+    /// failure counters and breaker accounting.
+    fn mux_forward(&self, payload: &[u8], record: bool) -> Result<MuxReply, ServeError> {
         // Attempt 1: the live multiplexed connection, if any.
         let existing = { self.mux.lock().clone() };
         if let Some(conn) = existing.filter(|c| !c.dead.load(Ordering::Relaxed)) {
-            match self.mux_round(&conn, ftype, payload) {
-                Ok((frame_type, body, sent, received)) => {
-                    if record {
-                        self.succeed(start);
-                    }
-                    return Ok(MuxServed::Frame(frame_type, body, sent, received));
-                }
+            match self.mux_round(&conn, payload) {
+                Ok(reply) => return Ok(reply),
                 Err(f) if !f.retryable => return Err(self.fail_keep(f.error, record)),
                 // The connection dropped mid-flight: the response
                 // cannot arrive on it, so a single fresh-connection
@@ -1063,33 +857,33 @@ impl RemoteWorker {
             }
         }
         // Attempt 2: a fresh connection.
-        let conn = match self.mux_establish() {
-            Ok(Some(conn)) => conn,
-            Ok(None) => return Ok(MuxServed::PeerIsLegacy),
-            Err(e) => return Err(self.fail(e, record)),
-        };
-        match self.mux_round(&conn, ftype, payload) {
-            Ok((frame_type, body, sent, received)) => {
-                if record {
-                    self.succeed(start);
-                }
-                Ok(MuxServed::Frame(frame_type, body, sent, received))
+        let conn = self.mux_establish().map_err(|e| self.fail(e, record))?;
+        self.mux_round(&conn, payload).map_err(|f| {
+            if f.timed_out {
+                self.fail_keep(f.error, record)
+            } else {
+                self.fail(f.error, record)
             }
-            Err(f) if f.timed_out => Err(self.fail_keep(f.error, record)),
-            Err(f) => Err(self.fail(f.error, record)),
-        }
+        })
     }
 
-    /// The shared legacy-JSON forward path (pooled connections);
-    /// `record: false` (counters probes) skips the stats counters and
-    /// breaker accounting, so periodic probes cannot dilute the mean
-    /// forward latency or flap the breaker.
-    fn forward_impl(&self, frame: &str, record: bool) -> Result<String, ServeError> {
-        // Circuit breaker: a shard that keeps failing fails fast —
-        // no dial, no timeout wait — so keyed traffic sticky to a
-        // dead node degrades by one cheap error instead of a full
-        // connect timeout per request. Probes (`record: false`)
-        // bypass it — they are how recovery is discovered.
+    /// The forward path shared by counted forwards and probes:
+    /// breaker check, one mux forward, and the response decode. Only a
+    /// decoded response counts as a success; `record: false` (probes)
+    /// skips the stats counters and breaker accounting, so periodic
+    /// probes cannot dilute the mean forward latency or flap the
+    /// breaker.
+    fn forward_request_impl(
+        &self,
+        req: &Request,
+        record: bool,
+    ) -> Result<ForwardReply, ServeError> {
+        let _guard = enter_in_flight(&self.in_flight, &self.counters);
+        // Circuit breaker: a shard that keeps failing fails fast — no
+        // dial, no timeout wait — so keyed traffic sticky to a dead
+        // node degrades by one cheap error instead of a full connect
+        // timeout per request. Probes (`record: false`) bypass it —
+        // they are how recovery is discovered.
         if record && self.breaker_open() {
             self.counters.failures.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Transport(format!(
@@ -1098,161 +892,26 @@ impl RemoteWorker {
                 self.consecutive_failures.load(Ordering::Relaxed)
             )));
         }
-        let start = Instant::now();
-        // Attempt 1: a pooled idle connection, held OUTSIDE the pool
-        // lock so concurrent forwards overlap their round trips (the
-        // pop is bound to a `let` first — an `if let` scrutinee would
-        // keep the pool locked for the whole block).
-        let pooled = self.idle.lock().pop();
-        if let Some(mut conn) = pooled {
-            match self.round_trip(&mut conn, frame) {
-                Ok(line) => {
-                    if record {
-                        self.succeed(start);
-                    }
-                    self.check_in(conn);
-                    return Ok(line);
-                }
-                // The node may still be executing this request: do
-                // NOT resend it (that would double-execute exactly
-                // when the node is most loaded). Fail and let the
-                // runtime's shard fail-over decide.
-                Err(f) if f.timed_out => return Err(self.fail(f.error, record)),
-                // A dropped/stale pooled connection (e.g. the node
-                // restarted): the response cannot arrive on it, so a
-                // single fresh-connection retry is safe. Mark the
-                // transport broken — the fresh dial below counts as
-                // a reconnect — and fall through.
-                Err(_) => self.broken.store(true, Ordering::Relaxed),
-            }
-        }
-        // Attempt 2: a fresh connection.
-        let mut conn = match self.dial() {
-            Ok(Negotiated::Legacy(conn)) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                conn
-            }
-            // Unreachable in practice: this path only runs once the
-            // peer is known legacy, and dial() then skips
-            // negotiation entirely.
-            Ok(Negotiated::Mux(mux)) => {
-                mux.kill();
-                return Err(self.fail(
-                    ServeError::Transport(format!(
-                        "{}: peer switched protocols between connections",
-                        self.addr
-                    )),
-                    record,
-                ));
-            }
-            Err(e) => return Err(self.fail(e, record)),
-        };
-        match self.round_trip(&mut conn, frame) {
-            Ok(line) => {
-                if record {
-                    self.succeed(start);
-                }
-                self.check_in(conn);
-                Ok(line)
-            }
-            Err(f) => Err(self.fail(f.error, record)),
-        }
-    }
-
-    /// Forward one raw legacy JSON frame: over the mux (as an opaque
-    /// [`FrameType::JsonRequest`]) when the peer speaks v2, else over
-    /// the pooled legacy path.
-    fn forward_raw(&self, frame: &str, record: bool) -> Result<String, ServeError> {
-        // The JSON encoder escapes control characters inside strings,
-        // so a well-formed frame is always newline-free; reject
-        // anything else rather than desynchronize the stream.
-        if frame.contains('\n') {
-            if record {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(ServeError::Transport(
-                "frame contains a raw newline".to_string(),
-            ));
-        }
-        let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        if self.legacy_peer() {
-            return self.forward_impl(frame, record);
-        }
-        match self.mux_forward(FrameType::JsonRequest, frame.as_bytes(), record)? {
-            MuxServed::PeerIsLegacy => self.forward_impl(frame, record),
-            MuxServed::Frame(FrameType::JsonResponse, body, _, _) => String::from_utf8(body)
-                .map_err(|e| {
-                    self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    ServeError::Transport(format!("{}: response is not UTF-8: {e}", self.addr))
-                }),
-            MuxServed::Frame(other, _, _, _) => {
-                self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Transport(format!(
-                    "{}: unexpected {other:?} response to a JSON frame",
-                    self.addr
-                )))
-            }
-        }
-    }
-
-    /// Forward one structured request, binary end to end when the
-    /// peer speaks v2.
-    fn forward_request_impl(
-        &self,
-        req: &Request,
-        record: bool,
-    ) -> Result<ForwardReply, ServeError> {
-        let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        if self.legacy_peer() {
-            return self.forward_request_legacy(req, record);
-        }
         let payload = encode_request_payload(req);
-        match self.mux_forward(FrameType::BinRequest, &payload, record)? {
-            MuxServed::PeerIsLegacy => self.forward_request_legacy(req, record),
-            MuxServed::Frame(frame_type, body, bytes_sent, bytes_received) => {
-                let decoded = match frame_type {
-                    FrameType::BinResponse => decode_response_payload(&body),
-                    FrameType::JsonResponse => std::str::from_utf8(&body)
-                        .map_err(|e| ServeError::Codec(format!("response is not UTF-8: {e}")))
-                        .and_then(decode_response),
-                    other => Err(ServeError::Codec(format!(
-                        "unexpected {other:?} response to a binary request"
-                    ))),
-                };
-                match decoded {
-                    Ok(response) => Ok(ForwardReply {
-                        response,
-                        bytes_sent,
-                        bytes_received,
-                    }),
-                    Err(e) => {
-                        self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        Err(self.fail_keep(
-                            ServeError::Transport(format!("{}: {e}", self.addr)),
-                            record,
-                        ))
-                    }
+        let start = Instant::now();
+        let (body, bytes_sent, bytes_received) = self.mux_forward(&payload, record)?;
+        let elapsed = start.elapsed();
+        match decode_response_payload(&body) {
+            Ok(response) => {
+                if record {
+                    self.succeed(elapsed);
                 }
+                Ok(ForwardReply {
+                    response,
+                    bytes_sent,
+                    bytes_received,
+                })
+            }
+            Err(e) => {
+                self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                Err(self.fail_keep(ServeError::Transport(format!("{}: {e}", self.addr)), record))
             }
         }
-    }
-
-    /// The structured forward over the legacy pooled JSON path.
-    fn forward_request_legacy(
-        &self,
-        req: &Request,
-        record: bool,
-    ) -> Result<ForwardReply, ServeError> {
-        let frame = encode_request(req)?;
-        let wire = self.forward_impl(&frame, record)?;
-        let response = decode_response(&wire)?;
-        Ok(ForwardReply {
-            response,
-            bytes_sent: frame.len() as u64 + 1,
-            bytes_received: wire.len() as u64 + 1,
-        })
     }
 }
 
@@ -1267,10 +926,6 @@ impl Drop for RemoteWorker {
 }
 
 impl WorkerTransport for RemoteWorker {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
-        self.forward_raw(frame, true)
-    }
-
     fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         self.forward_request_impl(req, true)
     }
@@ -1291,10 +946,10 @@ impl WorkerTransport for RemoteWorker {
     /// reads [`BreakerState::Probing`] while one is in flight), and a
     /// successful probe closes it — this is how a health prober
     /// re-admits a recovered node.
-    fn forward_probe(&self, frame: &str) -> Result<String, ServeError> {
+    fn forward_probe(&self, req: &Request) -> Result<Response, ServeError> {
         self.counters.probes_sent.fetch_add(1, Ordering::Relaxed);
         self.probing.store(true, Ordering::Relaxed);
-        let result = self.forward_raw(frame, false);
+        let result = self.forward_request_impl(req, false);
         self.probing.store(false, Ordering::Relaxed);
         if result.is_ok() {
             self.counters.probes_ok.fetch_add(1, Ordering::Relaxed);
@@ -1302,7 +957,7 @@ impl WorkerTransport for RemoteWorker {
             // forwards flow again (automatic re-admission).
             self.consecutive_failures.store(0, Ordering::Relaxed);
         }
-        result
+        result.map(|reply| reply.response)
     }
 
     fn breaker_state(&self) -> BreakerState {
@@ -1311,11 +966,6 @@ impl WorkerTransport for RemoteWorker {
 }
 
 // ---- the host side -------------------------------------------------
-
-/// Upper bound on the first line read while sniffing a connection's
-/// protocol: a client that sends this much without a newline speaks
-/// neither wire2 nor newline-JSON and is dropped.
-const NODE_PROBE_LIMIT: usize = 64 * 1024;
 
 /// How long after the last observed activity the event loop keeps
 /// spin-yielding (cheap, low-latency) before falling back to a
@@ -1329,23 +979,15 @@ const NODE_IDLE_WAIT: Duration = Duration::from_millis(2);
 /// Per-call chunk size of the event loop's nonblocking reads.
 const NODE_READ_CHUNK: usize = 16 * 1024;
 
-/// Which protocol a node-side connection speaks.
-enum ConnMode {
-    /// First line not seen yet.
-    Probing,
-    /// Legacy newline-delimited JSON.
-    Json,
-    /// Multiplexed wire2 frames.
-    Wire2,
-}
-
 /// Per-connection state owned by the node's event loop.
 struct NodeConn {
     stream: TcpStream,
     /// Generation stamp carried by dispatched jobs, so a slot reused
     /// by a later connection never receives a stale completion.
     gen: u64,
-    mode: ConnMode,
+    /// The client's [`WIRE2_PREAMBLE`] arrived and was answered with
+    /// `HelloAck`; until then inbound bytes must spell the preamble.
+    negotiated: bool,
     /// Unparsed inbound bytes.
     rbuf: Vec<u8>,
     /// Outbound bytes not yet written.
@@ -1354,13 +996,6 @@ struct NodeConn {
     wpos: usize,
     /// Requests dispatched to workers and not yet completed.
     in_flight: usize,
-    /// Legacy lines waiting their turn: a pipelined legacy client
-    /// expects responses in request order (there are no mux ids on
-    /// that path), so Json-mode dispatch is serialized per
-    /// connection. Wire2 frames dispatch with unlimited parallelism.
-    json_queue: VecDeque<String>,
-    /// A Json-mode line is currently with a worker.
-    json_busy: bool,
     /// Stop reading; close once in-flight work and writes drain.
     draining: bool,
     /// Drop the connection now (protocol violation or I/O error).
@@ -1372,39 +1007,25 @@ impl NodeConn {
         NodeConn {
             stream,
             gen,
-            mode: ConnMode::Probing,
+            negotiated: false,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
             in_flight: 0,
-            json_queue: VecDeque::new(),
-            json_busy: false,
             draining: false,
             fatal: false,
         }
     }
 }
 
-/// One unit of work dispatched from the event loop to the worker
-/// pool.
-enum NodeJob {
-    /// A legacy newline-JSON line.
-    Json { slot: usize, gen: u64, line: String },
-    /// A binary wire2 request payload.
-    Bin {
-        slot: usize,
-        gen: u64,
-        mux_id: u32,
-        payload: Vec<u8>,
-    },
-    /// A legacy JSON frame carried opaquely over the mux (a v2
-    /// client's raw-frame forward).
-    JsonFramed {
-        slot: usize,
-        gen: u64,
-        mux_id: u32,
-        payload: Vec<u8>,
-    },
+/// One binary request payload dispatched from the event loop to the
+/// worker pool, tagged with the connection and mux id its response
+/// frame goes back to.
+struct NodeJob {
+    slot: usize,
+    gen: u64,
+    mux_id: u32,
+    payload: Vec<u8>,
 }
 
 /// A worker's completion, routed back to the owning connection.
@@ -1415,9 +1036,6 @@ struct NodeDone {
     bytes: Vec<u8>,
     /// Drain the connection after flushing (unservable request).
     close: bool,
-    /// Finishes a serialized Json-mode line (unblocks the
-    /// connection's next queued line).
-    json_line: bool,
 }
 
 /// Encode a response into a `BinResponse` frame; a response so large
@@ -1453,111 +1071,39 @@ fn node_worker(
     client: &RuntimeClient,
     counters: &TransportCounters,
 ) {
-    while let Ok(job) = jobs.recv() {
+    while let Ok(NodeJob {
+        slot,
+        gen,
+        mux_id,
+        payload,
+    }) = jobs.recv()
+    {
         let start = Instant::now();
-        let completion = match job {
-            NodeJob::Json { slot, gen, line } => match client.call_raw(line) {
-                Ok(wire) => {
+        let (bytes, close) = match decode_request_payload(&payload) {
+            Ok(req) => match client.call_request(req) {
+                Ok(resp) => {
                     counters.record_success(start.elapsed());
-                    let mut bytes = wire.into_bytes();
-                    bytes.push(b'\n');
-                    NodeDone {
-                        slot,
-                        gen,
-                        bytes,
-                        close: false,
-                        json_line: true,
-                    }
+                    (response_frame(mux_id, &resp), false)
                 }
-                Err(_) => NodeDone {
-                    slot,
-                    gen,
-                    bytes: Vec::new(),
-                    close: true,
-                    json_line: true,
-                },
+                Err(_) => (Vec::new(), true),
             },
-            NodeJob::Bin {
-                slot,
-                gen,
-                mux_id,
-                payload,
-            } => match decode_request_payload(&payload) {
-                Ok(req) => match client.call_request(req) {
-                    Ok(resp) => {
-                        counters.record_success(start.elapsed());
-                        NodeDone {
-                            slot,
-                            gen,
-                            bytes: response_frame(mux_id, &resp),
-                            close: false,
-                            json_line: false,
-                        }
-                    }
-                    Err(_) => NodeDone {
-                        slot,
-                        gen,
-                        bytes: Vec::new(),
-                        close: true,
-                        json_line: false,
-                    },
-                },
-                Err(e) => {
-                    // The framing was intact — only this payload is
-                    // bad — so answer in band and keep the
-                    // connection in service.
-                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::failure(
-                        ERROR_RESPONSE_ID,
-                        format!("binary request decode failed: {e}"),
-                    );
-                    NodeDone {
-                        slot,
-                        gen,
-                        bytes: response_frame(mux_id, &resp),
-                        close: false,
-                        json_line: false,
-                    }
-                }
-            },
-            NodeJob::JsonFramed {
-                slot,
-                gen,
-                mux_id,
-                payload,
-            } => {
-                let line = String::from_utf8_lossy(&payload).into_owned();
-                match client.call_raw(line) {
-                    Ok(wire) => {
-                        match encode_frame(FrameType::JsonResponse, mux_id, wire.as_bytes()) {
-                            Ok(bytes) => {
-                                counters.record_success(start.elapsed());
-                                NodeDone {
-                                    slot,
-                                    gen,
-                                    bytes,
-                                    close: false,
-                                    json_line: false,
-                                }
-                            }
-                            Err(_) => NodeDone {
-                                slot,
-                                gen,
-                                bytes: Vec::new(),
-                                close: true,
-                                json_line: false,
-                            },
-                        }
-                    }
-                    Err(_) => NodeDone {
-                        slot,
-                        gen,
-                        bytes: Vec::new(),
-                        close: true,
-                        json_line: false,
-                    },
-                }
+            Err(e) => {
+                // The framing was intact — only this payload is bad —
+                // so answer in band and keep the connection in
+                // service.
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                let resp = Response::failure(
+                    ERROR_RESPONSE_ID,
+                    format!("binary request decode failed: {e}"),
+                );
+                (response_frame(mux_id, &resp), false)
             }
+        };
+        let completion = NodeDone {
+            slot,
+            gen,
+            bytes,
+            close,
         };
         if done.send(completion).is_err() {
             return;
@@ -1597,30 +1143,8 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     any
 }
 
-/// Dispatch one legacy JSON line, serialized per connection so a
-/// pipelined legacy client gets its responses in request order.
-fn node_dispatch_json(
-    conn: &mut NodeConn,
-    slot: usize,
-    line: String,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-) {
-    if conn.json_busy {
-        conn.json_queue.push_back(line);
-        return;
-    }
-    conn.json_busy = true;
-    conn.in_flight += 1;
-    *in_flight_total += 1;
-    let _ = jobs.send(NodeJob::Json {
-        slot,
-        gen: conn.gen,
-        line,
-    });
-}
-
-/// Parse buffered bytes into jobs according to the connection's mode.
+/// Parse buffered bytes: the handshake first, then wire2 frames,
+/// each complete request frame dispatched to the worker pool.
 fn node_parse(
     conn: &mut NodeConn,
     slot: usize,
@@ -1632,105 +1156,80 @@ fn node_parse(
         if conn.fatal || conn.draining && conn.rbuf.is_empty() {
             return;
         }
-        match conn.mode {
-            ConnMode::Probing | ConnMode::Json => {
-                let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
-                    if conn.rbuf.len() > NODE_PROBE_LIMIT {
-                        // Neither protocol produces a line this
-                        // long: wire2 opens with a 14-byte preamble,
-                        // and legacy frames are newline-delimited.
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.fatal = true;
-                    }
-                    return;
-                };
-                let mut line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-                line.pop();
-                while line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                if matches!(conn.mode, ConnMode::Probing) {
-                    if line == WIRE2_PREAMBLE_LINE.as_bytes() {
-                        conn.mode = ConnMode::Wire2;
-                        if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
-                            conn.wbuf.extend_from_slice(&ack);
-                        }
-                        continue;
-                    }
-                    conn.mode = ConnMode::Json;
-                }
-                let text = String::from_utf8_lossy(&line).into_owned();
-                node_dispatch_json(conn, slot, text, jobs, in_flight_total);
+        if !conn.negotiated {
+            // Only a wire2 client is served: the connection is
+            // rejected at the first byte that departs from the
+            // preamble.
+            let seen = conn.rbuf.len().min(WIRE2_PREAMBLE.len());
+            if conn.rbuf[..seen] != WIRE2_PREAMBLE[..seen] {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                conn.fatal = true;
+                return;
             }
-            ConnMode::Wire2 => {
-                if conn.rbuf.len() < WIRE2_HEADER_LEN {
-                    return;
+            if seen < WIRE2_PREAMBLE.len() {
+                return;
+            }
+            conn.rbuf.drain(..seen);
+            conn.negotiated = true;
+            if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
+                conn.wbuf.extend_from_slice(&ack);
+            }
+            continue;
+        }
+        if conn.rbuf.len() < WIRE2_HEADER_LEN {
+            return;
+        }
+        let mut header = [0u8; WIRE2_HEADER_LEN];
+        header.copy_from_slice(&conn.rbuf[..WIRE2_HEADER_LEN]);
+        let hdr = match decode_header(&header) {
+            Ok(hdr) => hdr,
+            Err(_) => {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                // When the magic/version/type bytes are intact only
+                // the length prefix is hostile and the mux id is still
+                // trustworthy: the client gets an in-band error before
+                // the connection drains. Anything else means the
+                // stream is desynchronized — drop it.
+                if header[0] == WIRE2_MAGIC
+                    && header[1] == WIRE2_VERSION
+                    && FrameType::from_byte(header[2]).is_some()
+                {
+                    let mux_id = u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
+                    let resp = Response::failure(
+                        ERROR_RESPONSE_ID,
+                        "frame rejected: payload length exceeds the frame bound",
+                    );
+                    conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
+                    conn.draining = true;
+                } else {
+                    conn.fatal = true;
                 }
-                let mut header = [0u8; WIRE2_HEADER_LEN];
-                header.copy_from_slice(&conn.rbuf[..WIRE2_HEADER_LEN]);
-                let hdr = match decode_header(&header) {
-                    Ok(hdr) => hdr,
-                    Err(_) => {
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        // When the magic/version/type bytes are
-                        // intact only the length prefix is hostile
-                        // and the mux id is still trustworthy: the
-                        // client gets an in-band error before the
-                        // connection drains. Anything else means the
-                        // stream is desynchronized — drop it.
-                        if header[0] == WIRE2_MAGIC
-                            && header[1] == WIRE2_VERSION
-                            && FrameType::from_byte(header[2]).is_some()
-                        {
-                            let mux_id =
-                                u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
-                            let resp = Response::failure(
-                                ERROR_RESPONSE_ID,
-                                "frame rejected: payload length exceeds the frame bound",
-                            );
-                            conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
-                            conn.draining = true;
-                        } else {
-                            conn.fatal = true;
-                        }
-                        return;
-                    }
-                };
-                let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
-                if conn.rbuf.len() < total {
-                    return;
-                }
-                let payload: Vec<u8> = conn.rbuf[WIRE2_HEADER_LEN..total].to_vec();
-                conn.rbuf.drain(..total);
-                match hdr.frame_type {
-                    FrameType::BinRequest => {
-                        conn.in_flight += 1;
-                        *in_flight_total += 1;
-                        let _ = jobs.send(NodeJob::Bin {
-                            slot,
-                            gen: conn.gen,
-                            mux_id: hdr.request_id,
-                            payload,
-                        });
-                    }
-                    FrameType::JsonRequest => {
-                        conn.in_flight += 1;
-                        *in_flight_total += 1;
-                        let _ = jobs.send(NodeJob::JsonFramed {
-                            slot,
-                            gen: conn.gen,
-                            mux_id: hdr.request_id,
-                            payload,
-                        });
-                    }
-                    FrameType::BinResponse | FrameType::JsonResponse | FrameType::HelloAck => {
-                        // Clients send request frames; anything else
-                        // means the stream is desynchronized.
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.fatal = true;
-                        return;
-                    }
-                }
+                return;
+            }
+        };
+        let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
+        if conn.rbuf.len() < total {
+            return;
+        }
+        let payload: Vec<u8> = conn.rbuf[WIRE2_HEADER_LEN..total].to_vec();
+        conn.rbuf.drain(..total);
+        match hdr.frame_type {
+            FrameType::BinRequest => {
+                conn.in_flight += 1;
+                *in_flight_total += 1;
+                let _ = jobs.send(NodeJob {
+                    slot,
+                    gen: conn.gen,
+                    mux_id: hdr.request_id,
+                    payload,
+                });
+            }
+            FrameType::BinResponse | FrameType::HelloAck => {
+                // Clients send request frames; anything else means
+                // the stream is desynchronized.
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                conn.fatal = true;
+                return;
             }
         }
     }
@@ -1763,15 +1262,9 @@ fn node_flush(conn: &mut NodeConn, counters: &TransportCounters) {
 /// Route a worker completion back onto its connection. A completion
 /// whose generation does not match the slot's current occupant
 /// belongs to a connection that already closed and is dropped.
-fn node_complete(
-    conns: &mut [Option<NodeConn>],
-    done: NodeDone,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-) {
+fn node_complete(conns: &mut [Option<NodeConn>], done: NodeDone, in_flight_total: &mut usize) {
     *in_flight_total = in_flight_total.saturating_sub(1);
-    let slot = done.slot;
-    let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
+    let Some(conn) = conns.get_mut(done.slot).and_then(Option::as_mut) else {
         return;
     };
     if conn.gen != done.gen {
@@ -1781,22 +1274,6 @@ fn node_complete(
     conn.wbuf.extend_from_slice(&done.bytes);
     if done.close {
         conn.draining = true;
-        conn.json_queue.clear();
-    }
-    if done.json_line {
-        conn.json_busy = false;
-        if !conn.draining {
-            if let Some(line) = conn.json_queue.pop_front() {
-                conn.json_busy = true;
-                conn.in_flight += 1;
-                *in_flight_total += 1;
-                let _ = jobs.send(NodeJob::Json {
-                    slot,
-                    gen: conn.gen,
-                    line,
-                });
-            }
-        }
     }
 }
 
@@ -1841,7 +1318,7 @@ fn node_event_loop(
             }
         }
         while let Ok(completion) = done.try_recv() {
-            node_complete(&mut conns, completion, jobs, &mut in_flight_total);
+            node_complete(&mut conns, completion, &mut in_flight_total);
             activity = true;
         }
         for (slot, entry) in conns.iter_mut().enumerate() {
@@ -1858,10 +1335,7 @@ fn node_event_loop(
                 node_flush(conn, counters);
             }
             let drop_now = conn.fatal
-                || (conn.draining
-                    && conn.in_flight == 0
-                    && conn.json_queue.is_empty()
-                    && conn.wpos >= conn.wbuf.len());
+                || (conn.draining && conn.in_flight == 0 && conn.wpos >= conn.wbuf.len());
             if drop_now {
                 *entry = None;
                 activity = true;
@@ -1877,7 +1351,7 @@ fn node_event_loop(
         if last_activity.elapsed() < NODE_SPIN_WINDOW {
             std::thread::yield_now();
         } else if let Ok(completion) = done.recv_timeout(NODE_IDLE_WAIT) {
-            node_complete(&mut conns, completion, jobs, &mut in_flight_total);
+            node_complete(&mut conns, completion, &mut in_flight_total);
             last_activity = Instant::now();
         }
     }
@@ -1888,17 +1362,17 @@ fn node_event_loop(
 /// sharding story.
 ///
 /// A single poll-based event loop over nonblocking sockets owns every
-/// accepted connection: it sniffs each connection's first line to
-/// pick wire2 or legacy-JSON mode, reassembles frames with a bounded
-/// read, and dispatches decoded requests to a small fixed pool of
-/// dispatch workers (whose completions the loop demultiplexes back
-/// onto the right connection by mux id). There is no
-/// thread-per-connection: hundreds of idle multiplexed clients cost
-/// one thread total.
+/// accepted connection: it serves a connection only once it opens
+/// with [`WIRE2_PREAMBLE`] (see [`crate::wire2`]), reassembles frames
+/// with a bounded read, and dispatches decoded requests to a small
+/// fixed pool of dispatch workers (whose completions the loop
+/// demultiplexes back onto the right connection by mux id). There is
+/// no thread-per-connection: hundreds of idle multiplexed clients
+/// cost one thread total.
 ///
-/// Frames the node serves run through the runtime's **full admission
+/// Requests the node serves run through the runtime's **full admission
 /// path** — shedding, canary split, key routing — exactly like local
-/// frames; the `forwarded` marker pins them to local shards so a node
+/// requests; the `forwarded` marker pins them to local shards so a node
 /// that itself has remote shards never creates a forwarding loop.
 pub struct RemoteRuntimeNode {
     runtime: ServingRuntime,
@@ -2047,9 +1521,9 @@ fn drain<R: std::io::Read>(mut r: R) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::decode_request;
     use crate::server::{Servable, ServerConfig};
     use crate::wire2::{encode_header, MAX_FRAME_PAYLOAD};
+    use std::io::BufRead;
     use willump_data::{Table, Value};
 
     struct Scaler(f64);
@@ -2071,10 +1545,6 @@ mod tests {
         b.build().expect("runtime builds")
     }
 
-    fn frame(id: u64, x: f64) -> String {
-        encode_request(&request(id, x)).expect("encodable")
-    }
-
     fn request(id: u64, x: f64) -> Request {
         Request {
             endpoint: Some("scale".to_string()),
@@ -2082,11 +1552,20 @@ mod tests {
         }
     }
 
+    /// Forward one request and return its scores.
+    fn scores(worker: &impl WorkerTransport, id: u64, x: f64) -> Vec<f64> {
+        worker
+            .forward_request(&request(id, x))
+            .expect("forward succeeds")
+            .response
+            .scores
+    }
+
     #[test]
     fn remote_worker_round_trips_through_node() {
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let worker = RemoteWorker::new(&node.local_addr().to_string());
-        let resp = decode_response(&worker.forward(&frame(7, 3.0)).unwrap()).unwrap();
+        let resp = worker.forward_request(&request(7, 3.0)).unwrap().response;
         assert_eq!(resp.id, 7);
         assert_eq!(resp.scores, vec![6.0]);
         let stats = worker.stats();
@@ -2123,20 +1602,19 @@ mod tests {
         let mut node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let addr = node.local_addr().to_string();
         let worker = RemoteWorker::new(&addr).with_timeout(Duration::from_secs(2));
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         node.shutdown();
 
         // Node down: the forward fails (counted), connection dropped.
         assert!(matches!(
-            worker.forward(&frame(2, 1.0)),
+            worker.forward_request(&request(2, 1.0)),
             Err(ServeError::Transport(_))
         ));
         assert_eq!(worker.stats().failures, 1);
 
         // Node back (same port): the next forward reconnects.
         let mut node2 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds");
-        let resp = decode_response(&worker.forward(&frame(3, 5.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![10.0]);
+        assert_eq!(scores(&worker, 3, 5.0), vec![10.0]);
         assert_eq!(worker.stats().reconnects, 1);
 
         // Restart again while the worker holds a live-looking mux
@@ -2145,8 +1623,7 @@ mod tests {
         // failure, since the forward succeeds.
         node2.shutdown();
         let _node3 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds again");
-        let resp = decode_response(&worker.forward(&frame(4, 7.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![14.0]);
+        assert_eq!(scores(&worker, 4, 7.0), vec![14.0]);
         assert_eq!(worker.stats().reconnects, 2);
         assert_eq!(worker.stats().failures, 1);
     }
@@ -2158,14 +1635,14 @@ mod tests {
         let worker = RemoteWorker::new(&addr)
             .with_timeout(Duration::from_secs(2))
             .with_breaker(2, Duration::from_millis(100));
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         node.shutdown();
 
         // Two real failures open the breaker…
-        assert!(worker.forward(&frame(2, 1.0)).is_err());
-        assert!(worker.forward(&frame(3, 1.0)).is_err());
+        assert!(worker.forward_request(&request(2, 1.0)).is_err());
+        assert!(worker.forward_request(&request(3, 1.0)).is_err());
         // …after which forwards fail fast without dialing.
-        match worker.forward(&frame(4, 1.0)) {
+        match worker.forward_request(&request(4, 1.0)) {
             Err(ServeError::Transport(msg)) => {
                 assert!(msg.contains("circuit open"), "got: {msg}");
             }
@@ -2177,16 +1654,18 @@ mod tests {
         // half-open trial succeeds and closes the breaker.
         let _node2 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds");
         std::thread::sleep(Duration::from_millis(150));
-        let resp = decode_response(&worker.forward(&frame(5, 3.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![6.0]);
-        assert!(worker.forward(&frame(6, 1.0)).is_ok(), "breaker closed");
+        assert_eq!(scores(&worker, 5, 3.0), vec![6.0]);
+        assert!(
+            worker.forward_request(&request(6, 1.0)).is_ok(),
+            "breaker closed"
+        );
     }
 
     #[test]
     fn counter_probes_do_not_count_as_forwards() {
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let worker = RemoteWorker::new(&node.local_addr().to_string());
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         let before = worker.stats();
         // Probes must not inflate forwards or dilute mean latency.
         assert!(worker.probe_counters("scale", 1).is_ok());
@@ -2244,26 +1723,16 @@ mod tests {
         // for one runtime dedupe while distinct runtimes do not.
         assert!(worker.describe().starts_with("in-process:"));
         assert_eq!(worker.describe(), InProcessWorker::new(&target).describe());
-        let resp = decode_response(&worker.forward(&frame(4, 2.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![6.0]);
-        assert_eq!(worker.stats().forwards, 1);
-        // The struct-native path skips the JSON boundary entirely.
-        let reply = worker.forward_request(&request(6, 2.0)).unwrap();
+        // The request reaches the target as a struct: no bytes move.
+        let reply = worker.forward_request(&request(4, 2.0)).unwrap();
         assert_eq!(reply.response.scores, vec![6.0]);
         assert_eq!((reply.bytes_sent, reply.bytes_received), (0, 0));
-        assert_eq!(worker.stats().forwards, 2);
+        assert_eq!(worker.stats().forwards, 1);
+        assert!(worker.probe_counters("scale", 1).is_ok());
+        assert_eq!(worker.stats().forwards, 2, "the default probe is a forward");
         drop(target);
-        assert!(worker.forward(&frame(5, 1.0)).is_err());
+        assert!(worker.forward_request(&request(5, 1.0)).is_err());
         assert_eq!(worker.stats().failures, 1);
-    }
-
-    #[test]
-    fn newline_frames_are_rejected_not_sent() {
-        let worker = RemoteWorker::new("127.0.0.1:1");
-        assert!(matches!(
-            worker.forward("{\"id\":1}\n{\"id\":2}"),
-            Err(ServeError::Transport(_))
-        ));
     }
 
     #[test]
@@ -2285,111 +1754,120 @@ mod tests {
             .expect("node shutdown must close parked connections");
     }
 
-    /// A hand-rolled legacy node: speaks only newline-JSON and — like
-    /// a pre-wire2 node — answers the v2 preamble with a JSON error
-    /// line (its runtime would reject the preamble as unparseable).
-    fn spawn_legacy_node() -> SocketAddr {
+    /// A hand-rolled peer on an ephemeral port: each accepted
+    /// connection is handed to `serve` on its own thread.
+    fn spawn_peer(serve: fn(TcpStream)) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { return };
-                std::thread::spawn(move || {
-                    let Ok(read_side) = stream.try_clone() else {
-                        return;
-                    };
-                    let mut reader = BufReader::new(read_side);
-                    let mut writer = stream;
-                    let mut line = String::new();
-                    loop {
-                        line.clear();
-                        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                            return;
-                        }
-                        let resp = match decode_request(line.trim_end()) {
-                            Ok(req) => {
-                                let scores: Vec<f64> = req
-                                    .rows
-                                    .iter()
-                                    .filter_map(|row| {
-                                        row.iter().find_map(|(k, v)| match v {
-                                            Value::Float(x) if k == "x" => Some(2.0 * x),
-                                            _ => None,
-                                        })
-                                    })
-                                    .collect();
-                                Response {
-                                    scores,
-                                    error: None,
-                                    ..Response::failure(req.id, "")
-                                }
-                            }
-                            Err(e) => Response::failure(0, format!("bad frame: {e}")),
-                        };
-                        let wire = crate::protocol::encode_response(&resp).expect("encodable");
-                        if writer
-                            .write_all(wire.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                });
+                std::thread::spawn(move || serve(stream));
             }
         });
         addr
     }
 
+    /// A forward whose response frame arrives but does not decode is
+    /// a failure, never also a success: it counts once in `failures`
+    /// and `decode_errors`, not in `forwards`, and three of them open
+    /// the breaker.
     #[test]
-    fn v2_client_falls_back_to_a_legacy_node() {
-        let addr = spawn_legacy_node();
-        let worker = RemoteWorker::new(&addr.to_string());
-        // The structured path negotiates, discovers a legacy peer,
-        // and transparently rides the pooled JSON protocol.
-        let reply = worker.forward_request(&request(3, 4.0)).unwrap();
-        assert_eq!(reply.response.id, 3);
-        assert_eq!(reply.response.scores, vec![8.0]);
-        assert!(reply.bytes_sent > 0 && reply.bytes_received > 0);
-        // The raw path works too, and negotiation is remembered: no
-        // preamble is sent again (a second dial would otherwise eat
-        // the first real frame).
-        let resp = decode_response(&worker.forward(&frame(4, 1.5)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![3.0]);
-        assert_eq!(worker.stats().forwards, 2);
-        assert_eq!(worker.stats().failures, 0);
-    }
-
-    #[test]
-    fn pinned_legacy_client_talks_to_a_v2_node() {
-        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
-        let worker = RemoteWorker::new(&node.local_addr().to_string()).with_legacy_json();
-        let reply = worker.forward_request(&request(9, 2.5)).unwrap();
-        assert_eq!(reply.response.scores, vec![5.0]);
-        let resp = decode_response(&worker.forward(&frame(10, 1.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![2.0]);
-        assert_eq!(worker.stats().forwards, 2);
-    }
-
-    #[test]
-    fn v2_node_serves_pipelined_legacy_json_clients_in_order() {
-        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
-        let stream = TcpStream::connect(node.local_addr()).expect("connects");
-        let mut writer = stream.try_clone().expect("clones");
-        let mut reader = BufReader::new(stream);
-        // Two pipelined frames before reading anything: a legacy
-        // client has no mux ids, so responses must come back in
-        // request order.
-        writer
-            .write_all(format!("{}\n{}\n", frame(1, 1.0), frame(2, 2.0)).as_bytes())
-            .expect("writes");
-        for expect in [(1u64, 2.0f64), (2, 4.0)] {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("reads");
-            let resp = decode_response(line.trim_end()).expect("decodes");
-            assert_eq!(resp.id, expect.0);
-            assert_eq!(resp.scores, vec![expect.1]);
+    fn undecodable_replies_count_as_failures_and_open_the_breaker() {
+        // A wire2 peer that answers every request with 16 garbage
+        // payload bytes under the right mux id.
+        let addr = spawn_peer(|stream| {
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut writer = stream;
+            let mut preamble = [0u8; WIRE2_PREAMBLE.len()];
+            if reader.read_exact(&mut preamble).is_err() {
+                return;
+            }
+            let ack = encode_frame(FrameType::HelloAck, 0, &[]).expect("encodes");
+            if writer.write_all(&ack).is_err() {
+                return;
+            }
+            while let Ok(Some((hdr, _))) = read_frame(&mut reader) {
+                let garbage = encode_frame(FrameType::BinResponse, hdr.request_id, &[0xAB; 16])
+                    .expect("encodes");
+                if writer.write_all(&garbage).is_err() {
+                    return;
+                }
+            }
+        });
+        let worker = RemoteWorker::new(&addr.to_string()).with_timeout(Duration::from_secs(5));
+        for id in 1..=REMOTE_WORKER_BREAKER_FAILURES {
+            assert!(matches!(
+                worker.forward_request(&request(id, 1.0)),
+                Err(ServeError::Transport(_))
+            ));
         }
+        let stats = worker.stats();
+        assert_eq!(stats.forwards, 0);
+        assert_eq!(stats.total_nanos, 0);
+        assert_eq!(stats.failures, 3);
+        assert_eq!(stats.decode_errors, 3);
+        assert_eq!(worker.state(), BreakerState::Open);
+    }
+
+    /// The node serves only wire2: a client that opens with a JSON
+    /// line is dropped unanswered and counted, and the node keeps
+    /// serving wire2 clients.
+    #[test]
+    fn node_drops_a_connection_that_opens_without_the_preamble() {
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
+        let mut stream = TcpStream::connect(node.local_addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let line = crate::protocol::encode_request(&request(1, 1.0)).expect("encodes");
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("writes");
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Ok(n) => assert_eq!(n, 0, "the node must not answer: {:?}", &buf[..n]),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the node must close the connection, not leave it open: {e}"
+            ),
+        }
+        assert_eq!(node.transport_stats().decode_errors, 1);
+        let worker = RemoteWorker::new(&node.local_addr().to_string());
+        assert_eq!(scores(&worker, 2, 4.0), vec![8.0]);
+    }
+
+    /// A worker whose peer answers the preamble with anything but a
+    /// `HelloAck` fails that forward promptly as a transport error.
+    #[test]
+    fn worker_fails_a_dial_answered_without_hello_ack() {
+        // A peer that answers every line — the preamble included —
+        // with a JSON error line.
+        let addr = spawn_peer(|stream| {
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut writer = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                line.clear();
+                let reply = crate::protocol::encode_response(&Response::failure(0, "bad frame"))
+                    .expect("encodes");
+                if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                    return;
+                }
+            }
+        });
+        let worker = RemoteWorker::new(&addr.to_string()).with_timeout(Duration::from_secs(5));
+        let start = Instant::now();
+        match worker.forward_request(&request(1, 1.0)) {
+            Err(ServeError::Transport(msg)) => assert!(msg.contains("negotiation"), "{msg}"),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        assert!(start.elapsed() < Duration::from_secs(2), "no timeout wait");
+        assert_eq!(worker.stats().failures, 1);
+        assert_eq!(worker.stats().forwards, 0);
     }
 
     /// Connect a raw wire2 client: send the preamble, consume the

@@ -1053,7 +1053,7 @@ impl Shared {
         }
     }
 
-    /// Decode, route, and enqueue one wire payload (the legacy JSON
+    /// Decode, route, and enqueue one wire payload (the client JSON
     /// boundary over [`admit_request`](Self::admit_request)).
     fn admit(&self, payload: &str) -> Result<Admitted, ServeError> {
         // Fast-fail before any side effects: a closed runtime admits

@@ -1,14 +1,15 @@
-//! The v2 binary wire protocol: multiplexed, length-prefixed frames.
+//! The binary wire protocol of the remote shard hop: multiplexed,
+//! length-prefixed frames.
 //!
-//! The legacy protocol (`protocol.rs`, whose codec is re-exported at
-//! the crate root as [`crate::encode_request`] &c.) is newline-delimited JSON
-//! with one blocking round trip per pooled connection. That is the
-//! right boundary for *clients* (Table 6 deliberately measures a real
-//! serialization cost there), but between a parent router and a
-//! [`crate::RemoteRuntimeNode`] it pays the JSON tax twice more per
-//! hop and forces head-of-line blocking per socket. `wire2` replaces
-//! the *internal* hop with compact binary frames that many in-flight
-//! requests share on one socket.
+//! Clients talk to a runtime in newline-delimited JSON
+//! (`protocol.rs`, whose codec is re-exported at the crate root as
+//! [`crate::encode_request`] &c.). That is the right boundary for
+//! *clients*: Table 6 deliberately measures a real serialization cost
+//! there. Between a parent router and a [`crate::RemoteRuntimeNode`]
+//! JSON would pay that tax twice more per hop and block each socket
+//! on one request at a time. `wire2` is the one protocol of that
+//! internal hop: compact binary frames that many in-flight requests
+//! share on one socket.
 //!
 //! # Frame layout
 //!
@@ -38,23 +39,22 @@
 //! |------|------|---------|
 //! | 1 | [`FrameType::BinRequest`] | binary [`Request`] ([`encode_request_payload`]) |
 //! | 2 | [`FrameType::BinResponse`] | binary [`Response`] ([`encode_response_payload`]) |
-//! | 3 | [`FrameType::JsonRequest`] | one legacy JSON request, passed through opaquely |
-//! | 4 | [`FrameType::JsonResponse`] | one legacy JSON response |
-//! | 5 | [`FrameType::HelloAck`] | empty (version-negotiation accept) |
+//! | 3, 4 | reserved, never reused | (retired opaque JSON lines) |
+//! | 5 | [`FrameType::HelloAck`] | empty (handshake accept) |
 //!
-//! # Version negotiation
+//! A reserved or otherwise unknown type byte fails [`decode_header`]
+//! like any corrupt header.
 //!
-//! A v2 client opens its connection by sending the ASCII preamble
-//! [`WIRE2_PREAMBLE`] (`"WILLUMP/WIRE2\n"`). A v2 node answers with a
-//! [`FrameType::HelloAck`] frame — whose first byte is the magic
-//! [`WIRE2_MAGIC`], never valid as the start of a JSON line — and the
-//! connection switches to binary frames. A *legacy* node instead
-//! treats the preamble as an undecodable JSON line and answers a JSON
-//! error object starting with `{`; the client consumes that line,
-//! remembers the peer is legacy, and falls back to pooled
-//! newline-JSON transparently. A legacy *client* never sends the
-//! preamble, so a v2 node serves its first `{`-prefixed line — and
-//! the rest of the connection — in legacy JSON mode.
+//! # Negotiation
+//!
+//! A client opens each connection by sending the ASCII preamble
+//! [`WIRE2_PREAMBLE`] (`"WILLUMP/WIRE2\n"`). The node answers with a
+//! [`FrameType::HelloAck`] frame, and from then on both directions
+//! carry only frames. There is no other mode: a node drops a
+//! connection whose first bytes are not the preamble, and a client
+//! fails a dial whose reply is not a `HelloAck`. Each frame's version
+//! byte then carries [`WIRE2_VERSION`]; readers accept
+//! [`WIRE2_MIN_VERSION`]`..=`[`WIRE2_VERSION`].
 //!
 //! # Encoding
 //!
@@ -63,7 +63,7 @@
 //! `Option`. It is not self-describing: the field order is frozen per
 //! protocol version in [`WIRE2_LAYOUT`], and `xtask lint` rule WL001
 //! fails the build when the layout changes without bumping
-//! [`WIRE2_VERSION`] (the negotiation byte), mirroring the
+//! [`WIRE2_VERSION`] (the header's version byte), mirroring the
 //! `#[serde(default)]` discipline the JSON structs get.
 
 use std::io::Read;
@@ -75,8 +75,9 @@ use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireR
 use crate::ServeError;
 
 /// First byte of every v2 frame. Deliberately not `{` (0x7B) and not
-/// printable ASCII, so a binary frame can never be mistaken for the
-/// start of a legacy JSON line (and vice versa).
+/// printable ASCII, so a frame is never mistaken for text, and a JSON
+/// line or stray preamble where a frame belongs fails the magic
+/// check at once.
 pub const WIRE2_MAGIC: u8 = 0xB2;
 
 /// The binary protocol version carried in byte 1 of every frame.
@@ -102,14 +103,10 @@ pub const WIRE2_HEADER_LEN: usize = 11;
 /// past it and drop the connection instead of trusting the prefix.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-/// The ASCII preamble a v2 client sends immediately after connecting
-/// to negotiate the binary protocol (newline included, so a legacy
-/// node consumes it as exactly one bad JSON line).
+/// The ASCII preamble a client sends immediately after connecting,
+/// before any frame. A node serves a connection only if it opens
+/// with exactly these bytes.
 pub const WIRE2_PREAMBLE: &[u8] = b"WILLUMP/WIRE2\n";
-
-/// [`WIRE2_PREAMBLE`] as a newline-stripped line, for line-oriented
-/// probing on the node side.
-pub const WIRE2_PREAMBLE_LINE: &str = "WILLUMP/WIRE2";
 
 /// The frozen per-version field order of the binary encoding. Each
 /// entry is a struct (or enum) name and its encoded field (or
@@ -152,6 +149,10 @@ pub const WIRE2_LAYOUT: &[(&str, &[&str])] = &[
 ];
 
 /// The kind of one v2 frame (byte 2 of the header).
+///
+/// Bytes 3 and 4 are reserved and never reused: they once carried
+/// opaque JSON request/response lines. A reader treats them as
+/// unknown types, i.e. as a corrupt header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameType {
@@ -159,11 +160,6 @@ pub enum FrameType {
     BinRequest = 1,
     /// A binary-encoded [`Response`] payload.
     BinResponse = 2,
-    /// One legacy JSON request line (no trailing newline), carried
-    /// opaquely so raw-frame forwarding keeps working over the mux.
-    JsonRequest = 3,
-    /// One legacy JSON response line (no trailing newline).
-    JsonResponse = 4,
     /// Version-negotiation accept (empty payload, request id 0).
     HelloAck = 5,
 }
@@ -175,9 +171,8 @@ impl FrameType {
         match b {
             1 => Some(FrameType::BinRequest),
             2 => Some(FrameType::BinResponse),
-            3 => Some(FrameType::JsonRequest),
-            4 => Some(FrameType::JsonResponse),
             5 => Some(FrameType::HelloAck),
+            // 3 and 4 are reserved (see the type docs).
             _ => None,
         }
     }
@@ -758,6 +753,19 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("frame type"));
+    }
+
+    #[test]
+    fn reserved_frame_types_are_unknown() {
+        for reserved in [3u8, 4] {
+            assert_eq!(FrameType::from_byte(reserved), None);
+            let mut h = encode_header(FrameType::BinRequest, 1, 0);
+            h[2] = reserved;
+            assert!(decode_header(&h)
+                .unwrap_err()
+                .to_string()
+                .contains("unknown frame type"));
+        }
     }
 
     #[test]

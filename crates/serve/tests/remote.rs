@@ -11,8 +11,9 @@ use std::time::Duration;
 use willump_data::{Table, Value};
 use willump_serve::{
     decode_request, decode_response, encode_request, encode_response, is_overloaded_wire,
-    EndpointCounters, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request, Response,
-    Servable, ServeError, ServerConfig, ServingRuntime, TransportStats, WireRow, WorkerTransport,
+    EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request,
+    Response, Servable, ServeError, ServerConfig, ServingRuntime, TransportStats, WireRow,
+    WorkerTransport,
 };
 
 /// A deterministic predictor with a visible formula, so local and
@@ -516,11 +517,14 @@ struct SheddingTransport {
     forwards: std::sync::atomic::AtomicU64,
 }
 impl WorkerTransport for SheddingTransport {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
+    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         self.forwards
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let req = decode_request(frame)?;
-        encode_response(&Response::shed(req.id, "affine", 1))
+        Ok(ForwardReply {
+            response: Response::shed(req.id, "affine", 1),
+            bytes_sent: 0,
+            bytes_received: 0,
+        })
     }
     fn describe(&self) -> String {
         "always-shedding".to_string()
@@ -728,88 +732,109 @@ proptest! {
     }
 }
 
-/// Mixed versions over real TCP, driven through the full runtime
-/// path: a parent pinned to the legacy JSON protocol
-/// (`with_legacy_json`) interoperates with a v2 node, and a v2 parent
-/// transparently falls back when its peer only speaks newline JSON.
-#[test]
-fn mixed_protocol_versions_interoperate_over_tcp() {
-    // Legacy-pinned client -> v2 node.
-    let node = spawn_node("affine", 1);
-    let addr = node.local_addr().to_string();
-    let mut b = ServingRuntime::builder();
-    b.endpoint("affine", Arc::new(Affine))
-        .shards(0)
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&addr)
-                .with_legacy_json()
-                .with_timeout(Duration::from_secs(5)),
-        ));
-    let runtime = b.build().expect("parent builds");
-    assert_eq!(
-        runtime
-            .client()
-            .predict_endpoint("affine", wire_rows(&[2.0]))
-            .expect("legacy client serves through a v2 node"),
-        vec![5.0]
-    );
+// ---- hostile input -------------------------------------------------
 
-    // v2 client -> legacy node (a raw newline-JSON server).
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
-    let legacy_addr = listener.local_addr().expect("addr").to_string();
-    let legacy = std::thread::spawn(move || {
-        use std::io::{BufRead, BufReader, Write};
-        let (stream, _) = listener.accept().expect("accepts");
-        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::OnceLock;
+use willump_serve::wire2::{
+    decode_header, WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
+};
+
+/// The one node every hostile-stream case is thrown at: the property
+/// is that the *same* node survives all of them.
+fn hostile_target() -> &'static RemoteRuntimeNode {
+    static NODE: OnceLock<RemoteRuntimeNode> = OnceLock::new();
+    NODE.get_or_init(|| spawn_node("affine", 1))
+}
+
+/// Arbitrary bytes behind one of three prefixes: none (the handshake
+/// check), the preamble (the frame parser), or the preamble plus a
+/// valid magic and version byte (the frame-type and length checks).
+fn hostile_stream() -> impl Strategy<Value = Vec<u8>> {
+    let prefix = prop_oneof![
+        Just(Vec::new()),
+        Just(WIRE2_PREAMBLE.to_vec()),
+        Just([WIRE2_PREAMBLE, &[WIRE2_MAGIC, WIRE2_VERSION]].concat()),
+    ];
+    (prefix, prop::collection::vec(any::<u8>(), 0..256)).prop_map(
+        |(mut bytes, tail): (Vec<u8>, _)| {
+            bytes.extend(tail);
+            bytes
+        },
+    )
+}
+
+/// Arbitrary payload bytes: pure noise, or a valid request encoding
+/// with a few bytes overwritten and a random cut, which gets past the
+/// leading fields into the deeper decode paths.
+fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
+    let noise = prop::collection::vec(any::<u8>(), 0..512);
+    let mangled = (
+        arb_request(),
+        prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        any::<usize>(),
+    )
+        .prop_map(|(req, edits, cut)| {
+            let mut bytes = encode_request_payload(&req);
+            for (at, b) in edits {
+                let len = bytes.len();
+                bytes[at % len] = b;
             }
-            let trimmed = line.trim_end();
-            let reply = match decode_request(trimmed) {
-                Ok(req) => {
-                    let scores = req
-                        .rows
-                        .iter()
-                        .map(|row| match &row[0].1 {
-                            Value::Float(x) => 3.0 * x - 1.0,
-                            _ => f64::NAN,
-                        })
-                        .collect();
-                    Response {
-                        scores,
-                        error: None,
-                        ..Response::failure(req.id, "")
-                    }
-                }
-                // The v2 preamble is not JSON: a legacy node answers
-                // it with an in-band error line, which is exactly the
-                // signal the v2 client falls back on.
-                Err(e) => Response::failure(0, e.to_string()),
-            };
-            let wire = encode_response(&reply).expect("encodes");
-            if writer.write_all(wire.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-                return;
-            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            bytes
+        });
+    prop_oneof![noise, mangled]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// No byte stream takes a node down: after each hostile
+    /// connection closes, a fresh worker still serves through it.
+    #[test]
+    fn node_survives_arbitrary_byte_streams(bytes in hostile_stream()) {
+        let node = hostile_target();
+        let mut stream = TcpStream::connect(node.local_addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        // The node may hang up mid-write; that is an allowed outcome.
+        let _ = stream.write_all(&bytes);
+        let _ = stream.shutdown(Shutdown::Write);
+        // Whatever the node answers, it must close the connection.
+        let mut sink = Vec::new();
+        if let Err(e) = stream.read_to_end(&mut sink) {
+            prop_assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "node left a hostile connection open: {e}"
+            );
         }
-    });
-    let mut b = ServingRuntime::builder();
-    b.endpoint("affine", Arc::new(Affine))
-        .shards(0)
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&legacy_addr).with_timeout(Duration::from_secs(5)),
-        ));
-    let runtime = b.build().expect("parent builds");
-    assert_eq!(
-        runtime
-            .client()
-            .predict_endpoint("affine", wire_rows(&[4.0]))
-            .expect("v2 client falls back to a legacy node"),
-        vec![11.0]
-    );
-    drop(runtime);
-    legacy.join().expect("legacy node thread exits");
+        let worker = RemoteWorker::new(&node.local_addr().to_string())
+            .with_timeout(Duration::from_secs(5));
+        let reply = worker
+            .forward_request(&Request {
+                endpoint: Some("affine".to_string()),
+                ..Request::new(1, wire_rows(&[2.0]))
+            })
+            .expect("node still serves");
+        prop_assert_eq!(reply.response.scores, vec![5.0]);
+    }
+
+    /// The wire2 decoders answer arbitrary bytes with a value or a
+    /// codec error, never a panic or another error kind.
+    #[test]
+    fn wire2_decoders_reject_arbitrary_bytes_cleanly(bytes in hostile_payload()) {
+        let clean = |r: Result<(), ServeError>| matches!(r, Ok(()) | Err(ServeError::Codec(_)));
+        let mut header = [0u8; WIRE2_HEADER_LEN];
+        for (h, b) in header.iter_mut().zip(&bytes) {
+            *h = *b;
+        }
+        prop_assert!(clean(decode_header(&header).map(drop)));
+        prop_assert!(clean(decode_request_payload(&bytes).map(drop)));
+        prop_assert!(clean(decode_response_payload(&bytes).map(drop)));
+    }
 }

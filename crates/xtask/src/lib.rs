@@ -12,7 +12,7 @@
 //! |----|------|-----------|
 //! | WL001 | `wire-compat` | every field of the `crates/serve/src/protocol.rs` wire structs beyond the frozen v1 set carries `#[serde(default)]`, so legacy frames keep decoding; and `wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
 //! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock or channel results in `crates/serve`/`crates/core` non-test code |
-//! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, and every registered section exists in `EXPERIMENTS.md` |
+//! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, every registered section exists in `EXPERIMENTS.md`, and every `EXPERIMENTS.md` schema header is registered (no orphan sections) |
 //! | WL005 | `vendor-hygiene` | every dependency across workspace manifests resolves to a path inside `vendor/` or `crates/` (no registry/git deps — the build env is offline) |
 //!
 //! Run with `cargo run -p xtask -- lint` (add `--fix` to apply the
@@ -62,7 +62,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "WL004",
         name: "schema-registration",
-        summary: "recording binaries, RECORDED_SCHEMAS, and EXPERIMENTS.md sections stay in sync",
+        summary: "recording binaries, RECORDED_SCHEMAS, and EXPERIMENTS.md sections stay in sync \
+                  (no unregistered or orphan schema)",
     },
     Rule {
         id: "WL005",
@@ -974,6 +975,26 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                 line: 1,
                 message: format!(
                     "missing recorded section {schema:?}; re-record with {cmd} and commit"
+                ),
+                fix: None,
+            });
+        }
+    }
+
+    // Orphan sections: every schema header in EXPERIMENTS.md must be
+    // registered, so a superseded section cannot linger beside the
+    // one that replaced it.
+    for (idx, line) in experiments.lines().enumerate() {
+        let header = line.trim();
+        if header.starts_with(SCHEMA_PREFIX) && !registry.iter().any(|(_, r)| r == header) {
+            out.push(Violation {
+                rule: "WL004",
+                name: "schema-registration",
+                file: EXPERIMENTS_MD.to_string(),
+                line: idx + 1,
+                message: format!(
+                    "orphan section {header:?} is not registered in RECORDED_SCHEMAS \
+                     ({BENCH_LIB}); delete the superseded section or register its binary"
                 ),
                 fix: None,
             });

@@ -101,6 +101,19 @@ fn schema_registration_fixture_fires_exactly_wl004() {
 }
 
 #[test]
+fn orphan_schema_section_fires_exactly_wl004() {
+    let (ids, violations) = lint_fixture("schema-orphan");
+    assert_eq!(ids, BTreeSet::from(["WL004"]), "{violations:?}");
+    // Only the superseded v1 header fires, at its own line; the
+    // registered v2 section beside it is fine.
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let v = &violations[0];
+    assert_eq!((v.file.as_str(), v.line), ("EXPERIMENTS.md", 3), "{v}");
+    assert!(v.message.contains("table1-good v1"), "{v}");
+    assert!(v.message.contains("orphan section"), "{v}");
+}
+
+#[test]
 fn vendor_hygiene_fixture_fires_exactly_wl005() {
     let (ids, violations) = lint_fixture("vendor-hygiene");
     assert_eq!(ids, BTreeSet::from(["WL005"]), "{violations:?}");
