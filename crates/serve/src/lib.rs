@@ -62,11 +62,15 @@
 //! whole plans.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod cluster;
 mod e2e_cache;
 mod error;
 mod monitor;
+#[allow(unsafe_code)]
+mod poll;
 mod protocol;
 mod remote;
 mod runtime;

@@ -35,12 +35,15 @@
 //!   exposes a whole [`crate::ServingRuntime`] — all of its endpoints
 //!   — to parent routers. A single **poll-based event loop** over
 //!   nonblocking sockets owns every accepted connection (no
-//!   thread-per-connection): it checks each connection's handshake,
+//!   thread-per-connection). It blocks in `poll(2)` until a socket or
+//!   its wake socket is ready, checks each connection's handshake,
 //!   reassembles frames with a bounded read (an oversized or corrupt
 //!   length prefix is counted in `decode_errors` and refused, never
 //!   trusted), and dispatches decoded requests to a small fixed worker
-//!   pool whose completions are demultiplexed back onto the right
-//!   connection by mux id.
+//!   pool. Each worker writes its reply frame, tagged with the
+//!   request's mux id, straight to the request's connection, and
+//!   wakes the loop only when the socket did not take every byte or
+//!   the connection must close.
 //!
 //! The **local queue** implementation of the trait is
 //! [`InProcessWorker`]: it forwards requests to another runtime in
@@ -109,6 +112,9 @@
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::raw::c_short;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -119,6 +125,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump::PlanCountersSnapshot;
 
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
 use crate::runtime::{RuntimeClient, ServingRuntime};
 use crate::wire2::{
@@ -967,75 +974,167 @@ impl WorkerTransport for RemoteWorker {
 
 // ---- the host side -------------------------------------------------
 
-/// How long after the last observed activity the event loop keeps
-/// spin-yielding (cheap, low-latency) before falling back to a
-/// blocking completion wait.
-const NODE_SPIN_WINDOW: Duration = Duration::from_micros(500);
-
-/// Blocking completion-wait slice once the loop is idle; also bounds
-/// how stale the shutdown-flag check can get.
-const NODE_IDLE_WAIT: Duration = Duration::from_millis(2);
-
 /// Per-call chunk size of the event loop's nonblocking reads.
 const NODE_READ_CHUNK: usize = 16 * 1024;
 
+/// How long the event loop stops watching the listener after an
+/// `accept` error other than `WouldBlock` (descriptor exhaustion, for
+/// one): the pending connection keeps the listener readable, so
+/// watching it at once would turn the readiness wait into a busy loop.
+const NODE_ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// State the event loop shares with the dispatch workers and the
+/// [`RemoteRuntimeNode`] handle.
+struct NodeShared {
+    counters: TransportCounters,
+    /// Requests dispatched and not yet answered, across every
+    /// connection; its peak is `max_in_flight`.
+    in_flight: AtomicUsize,
+    /// Set once by [`RemoteRuntimeNode::shutdown`].
+    shutdown: AtomicBool,
+    /// The wake socket pair: one byte written to `wake_tx` makes
+    /// `wake_rx` readable and ends the loop's readiness wait. Both
+    /// ends live as long as any thread can write, so a wake never
+    /// meets a closed peer.
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
+}
+
+impl NodeShared {
+    /// End the event loop's current (or next) readiness wait. A full
+    /// wake socket already guarantees a wake-up, so `WouldBlock` is
+    /// fine to ignore.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+}
+
+/// Outbound bytes of one connection, written by whoever holds the
+/// lock: a dispatch worker appending its reply, or the event loop.
+#[derive(Default)]
+struct NodeWrite {
+    buf: Vec<u8>,
+    /// How much of `buf` has been written so far.
+    pos: usize,
+    /// A write failed: the connection is dead and must be dropped.
+    failed: bool,
+}
+
+impl NodeWrite {
+    /// Bytes are buffered but not yet written.
+    fn pending(&self) -> bool {
+        self.pos < self.buf.len()
+    }
+
+    /// Write as much buffered output as the nonblocking socket
+    /// accepts right now.
+    fn flush(&mut self, stream: &TcpStream, counters: &TransportCounters) {
+        while self.pending() {
+            match (&*stream).write(&self.buf[self.pos..]) {
+                Ok(n) if n > 0 => {
+                    counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    self.pos += n;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                _ => {
+                    // Nothing buffered can be sent any more.
+                    self.failed = true;
+                    break;
+                }
+            }
+        }
+        self.buf.clear();
+        self.pos = 0;
+    }
+}
+
+/// The output half of a connection, shared by the event loop and
+/// every dispatched job, so a dispatch worker writes its reply
+/// straight to the socket.
+struct NodeOutput {
+    stream: TcpStream,
+    write: Mutex<NodeWrite>,
+    /// Requests dispatched on this connection and not yet answered.
+    in_flight: AtomicUsize,
+    /// Stop reading; close once in-flight work and writes drain.
+    draining: AtomicBool,
+}
+
+impl NodeOutput {
+    /// Append one frame and write what the socket accepts. Returns
+    /// true when the event loop must look at the connection: bytes
+    /// are left over (it waits for `POLLOUT`) or the socket failed.
+    fn send(&self, frame: &[u8], counters: &TransportCounters) -> bool {
+        let mut write = self.write.lock();
+        if !write.failed {
+            write.buf.extend_from_slice(frame);
+            write.flush(&self.stream, counters);
+        }
+        write.failed || write.pending()
+    }
+}
+
 /// Per-connection state owned by the node's event loop.
 struct NodeConn {
-    stream: TcpStream,
-    /// Generation stamp carried by dispatched jobs, so a slot reused
-    /// by a later connection never receives a stale completion.
-    gen: u64,
+    out: Arc<NodeOutput>,
     /// The client's [`WIRE2_PREAMBLE`] arrived and was answered with
     /// `HelloAck`; until then inbound bytes must spell the preamble.
     negotiated: bool,
     /// Unparsed inbound bytes.
     rbuf: Vec<u8>,
-    /// Outbound bytes not yet written.
-    wbuf: Vec<u8>,
-    /// How much of `wbuf` has been written so far.
-    wpos: usize,
-    /// Requests dispatched to workers and not yet completed.
-    in_flight: usize,
-    /// Stop reading; close once in-flight work and writes drain.
-    draining: bool,
+    /// Output was left unsent at the end of the last pass: wait for
+    /// `POLLOUT`.
+    want_write: bool,
     /// Drop the connection now (protocol violation or I/O error).
     fatal: bool,
 }
 
 impl NodeConn {
-    fn new(stream: TcpStream, gen: u64) -> NodeConn {
+    fn new(stream: TcpStream) -> NodeConn {
         NodeConn {
-            stream,
-            gen,
+            out: Arc::new(NodeOutput {
+                stream,
+                write: Mutex::new(NodeWrite::default()),
+                in_flight: AtomicUsize::new(0),
+                draining: AtomicBool::new(false),
+            }),
             negotiated: false,
             rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            in_flight: 0,
-            draining: false,
+            want_write: false,
             fatal: false,
         }
+    }
+
+    /// The readiness events this connection waits for: input unless
+    /// it is draining, output only while bytes are unsent.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if !self.out.draining.load(Ordering::SeqCst) {
+            events |= POLLIN;
+        }
+        if self.want_write {
+            events |= POLLOUT;
+        }
+        events
+    }
+}
+
+impl Drop for NodeConn {
+    /// An in-flight job still holds the socket through its
+    /// [`NodeOutput`], so closing our handle alone would not end the
+    /// connection: shut it down so the peer sees EOF now.
+    fn drop(&mut self) {
+        let _ = self.out.stream.shutdown(Shutdown::Both);
     }
 }
 
 /// One binary request payload dispatched from the event loop to the
-/// worker pool, tagged with the connection and mux id its response
-/// frame goes back to.
+/// worker pool, with the output half its response frame goes to.
 struct NodeJob {
-    slot: usize,
-    gen: u64,
+    out: Arc<NodeOutput>,
     mux_id: u32,
     payload: Vec<u8>,
-}
-
-/// A worker's completion, routed back to the owning connection.
-struct NodeDone {
-    slot: usize,
-    gen: u64,
-    /// Wire bytes to append to the connection's write buffer.
-    bytes: Vec<u8>,
-    /// Drain the connection after flushing (unservable request).
-    close: bool,
 }
 
 /// Encode a response into a `BinResponse` frame; a response so large
@@ -1063,29 +1162,30 @@ fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
 }
 
 /// A node worker: executes decoded requests against the hosted
-/// runtime and sends completions back to the event loop. Exits when
-/// the job channel disconnects (the event loop owns the sender).
-fn node_worker(
-    jobs: &Receiver<NodeJob>,
-    done: &Sender<NodeDone>,
-    client: &RuntimeClient,
-    counters: &TransportCounters,
-) {
+/// runtime and writes each reply straight to its connection. It wakes
+/// the event loop only when the loop has something to do: bytes the
+/// socket did not take, a connection to close, or a draining
+/// connection whose last request just finished. Exits when the job
+/// channel disconnects (the event loop owns the sender).
+fn node_worker(jobs: &Receiver<NodeJob>, client: &RuntimeClient, shared: &NodeShared) {
+    let counters = &shared.counters;
     while let Ok(NodeJob {
-        slot,
-        gen,
+        out,
         mux_id,
         payload,
     }) = jobs.recv()
     {
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
         let start = Instant::now();
-        let (bytes, close) = match decode_request_payload(&payload) {
+        let frame = match decode_request_payload(&payload) {
             Ok(req) => match client.call_request(req) {
                 Ok(resp) => {
                     counters.record_success(start.elapsed());
-                    (response_frame(mux_id, &resp), false)
+                    Some(response_frame(mux_id, &resp))
                 }
-                Err(_) => (Vec::new(), true),
+                Err(_) => None,
             },
             Err(e) => {
                 // The framing was intact — only this payload is bad —
@@ -1096,91 +1196,93 @@ fn node_worker(
                     ERROR_RESPONSE_ID,
                     format!("binary request decode failed: {e}"),
                 );
-                (response_frame(mux_id, &resp), false)
+                Some(response_frame(mux_id, &resp))
             }
         };
-        let completion = NodeDone {
-            slot,
-            gen,
-            bytes,
-            close,
+        let wake = match frame {
+            Some(bytes) => out.send(&bytes, counters),
+            None => {
+                // Unservable request: drain the connection.
+                out.draining.store(true, Ordering::SeqCst);
+                true
+            }
         };
-        if done.send(completion).is_err() {
-            return;
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        // The reply is buffered before the count drops, so a loop that
+        // reads zero here knows every reply is already in `write`.
+        let last = out.in_flight.fetch_sub(1, Ordering::SeqCst) == 1;
+        if wake || last && out.draining.load(Ordering::SeqCst) {
+            shared.wake();
         }
     }
 }
 
-/// Read whatever is ready on a nonblocking connection. Returns true
-/// when any bytes arrived.
-fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
-    let mut any = false;
+/// Read whatever is ready on a nonblocking connection; EOF starts the
+/// drain.
+fn node_read(conn: &mut NodeConn, counters: &TransportCounters) {
     let mut chunk = [0u8; NODE_READ_CHUNK];
     loop {
-        match conn.stream.read(&mut chunk) {
+        match (&conn.out.stream).read(&mut chunk) {
             Ok(0) => {
-                conn.draining = true;
-                break;
+                conn.out.draining.store(true, Ordering::SeqCst);
+                return;
             }
             Ok(n) => {
                 counters
                     .bytes_received
                     .fetch_add(n as u64, Ordering::Relaxed);
                 conn.rbuf.extend_from_slice(&chunk[..n]);
-                any = true;
                 if n < chunk.len() {
-                    break;
+                    return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
                 conn.fatal = true;
-                break;
+                return;
             }
         }
     }
-    any
 }
 
 /// Parse buffered bytes: the handshake first, then wire2 frames,
-/// each complete request frame dispatched to the worker pool.
-fn node_parse(
-    conn: &mut NodeConn,
-    slot: usize,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-    counters: &TransportCounters,
-) {
+/// each complete request frame dispatched to the worker pool. Parses
+/// with a cursor and returns how many bytes were consumed, so the
+/// caller compacts `rbuf` once per pass.
+fn node_parse(conn: &mut NodeConn, jobs: &Sender<NodeJob>, shared: &NodeShared) -> usize {
+    let counters = &shared.counters;
+    let mut at = 0;
     loop {
-        if conn.fatal || conn.draining && conn.rbuf.is_empty() {
-            return;
+        let buf = &conn.rbuf[at..];
+        if buf.is_empty() {
+            return at;
         }
         if !conn.negotiated {
             // Only a wire2 client is served: the connection is
             // rejected at the first byte that departs from the
             // preamble.
-            let seen = conn.rbuf.len().min(WIRE2_PREAMBLE.len());
-            if conn.rbuf[..seen] != WIRE2_PREAMBLE[..seen] {
+            let seen = buf.len().min(WIRE2_PREAMBLE.len());
+            if buf[..seen] != WIRE2_PREAMBLE[..seen] {
                 counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 conn.fatal = true;
-                return;
+                return at;
             }
             if seen < WIRE2_PREAMBLE.len() {
-                return;
+                return at;
             }
-            conn.rbuf.drain(..seen);
+            at += seen;
             conn.negotiated = true;
             if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
-                conn.wbuf.extend_from_slice(&ack);
+                conn.out.write.lock().buf.extend_from_slice(&ack);
             }
             continue;
         }
-        if conn.rbuf.len() < WIRE2_HEADER_LEN {
-            return;
+        if buf.len() < WIRE2_HEADER_LEN {
+            return at;
         }
         let mut header = [0u8; WIRE2_HEADER_LEN];
-        header.copy_from_slice(&conn.rbuf[..WIRE2_HEADER_LEN]);
+        header.copy_from_slice(&buf[..WIRE2_HEADER_LEN]);
         let hdr = match decode_header(&header) {
             Ok(hdr) => hdr,
             Err(_) => {
@@ -1199,27 +1301,35 @@ fn node_parse(
                         ERROR_RESPONSE_ID,
                         "frame rejected: payload length exceeds the frame bound",
                     );
-                    conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
-                    conn.draining = true;
+                    conn.out
+                        .write
+                        .lock()
+                        .buf
+                        .extend_from_slice(&response_frame(mux_id, &resp));
+                    conn.out.draining.store(true, Ordering::SeqCst);
                 } else {
                     conn.fatal = true;
                 }
-                return;
+                // Nothing after a rejected header can be framed:
+                // discard the rest, so the rejection is answered once.
+                return conn.rbuf.len();
             }
         };
         let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
-        if conn.rbuf.len() < total {
-            return;
+        if buf.len() < total {
+            return at;
         }
-        let payload: Vec<u8> = conn.rbuf[WIRE2_HEADER_LEN..total].to_vec();
-        conn.rbuf.drain(..total);
+        let payload = buf[WIRE2_HEADER_LEN..total].to_vec();
+        at += total;
         match hdr.frame_type {
             FrameType::BinRequest => {
-                conn.in_flight += 1;
-                *in_flight_total += 1;
+                conn.out.in_flight.fetch_add(1, Ordering::SeqCst);
+                let depth = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+                counters
+                    .max_in_flight
+                    .fetch_max(depth as u64, Ordering::Relaxed);
                 let _ = jobs.send(NodeJob {
-                    slot,
-                    gen: conn.gen,
+                    out: Arc::clone(&conn.out),
                     mux_id: hdr.request_id,
                     payload,
                 });
@@ -1229,130 +1339,113 @@ fn node_parse(
                 // the stream is desynchronized.
                 counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 conn.fatal = true;
-                return;
+                return at;
             }
         }
     }
 }
 
-/// Flush as much buffered output as the socket accepts right now.
-fn node_flush(conn: &mut NodeConn, counters: &TransportCounters) {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.fatal = true;
-                return;
-            }
-            Ok(n) => {
-                counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                conn.wpos += n;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.fatal = true;
-                return;
-            }
-        }
-    }
-    conn.wbuf.clear();
-    conn.wpos = 0;
-}
-
-/// Route a worker completion back onto its connection. A completion
-/// whose generation does not match the slot's current occupant
-/// belongs to a connection that already closed and is dropped.
-fn node_complete(conns: &mut [Option<NodeConn>], done: NodeDone, in_flight_total: &mut usize) {
-    *in_flight_total = in_flight_total.saturating_sub(1);
-    let Some(conn) = conns.get_mut(done.slot).and_then(Option::as_mut) else {
-        return;
-    };
-    if conn.gen != done.gen {
-        return;
-    }
-    conn.in_flight = conn.in_flight.saturating_sub(1);
-    conn.wbuf.extend_from_slice(&done.bytes);
-    if done.close {
-        conn.draining = true;
-    }
-}
-
-/// The node's single event loop: accepts connections, reads and
-/// parses ready sockets, dispatches decoded requests to the worker
-/// pool, and routes completions back onto the right connection.
-/// Adaptive idling: spin-yield briefly after activity (latency), then
-/// block on the completion channel in short slices (CPU).
-fn node_event_loop(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
+/// Serve one connection after a readiness wait: read if the socket
+/// reported input, parse, and flush. Returns false when the
+/// connection must be dropped.
+fn node_service(
+    conn: &mut NodeConn,
+    revents: c_short,
     jobs: &Sender<NodeJob>,
-    done: &Receiver<NodeDone>,
-    counters: &TransportCounters,
-) {
-    let mut conns: Vec<Option<NodeConn>> = Vec::new();
-    let mut next_gen: u64 = 0;
-    let mut in_flight_total: usize = 0;
-    let mut last_activity = Instant::now();
+    shared: &NodeShared,
+) -> bool {
+    // An error or a hang-up (both directions shut) is reported even
+    // when not asked for; nothing more can be exchanged either way.
+    if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
+        return false;
+    }
+    if revents & POLLIN != 0 && !conn.out.draining.load(Ordering::SeqCst) {
+        node_read(conn, &shared.counters);
+    }
+    if !conn.fatal {
+        let used = node_parse(conn, jobs, shared);
+        conn.rbuf.drain(..used);
+    }
+    if conn.fatal {
+        return false;
+    }
+    // Read the count before the buffer: a worker buffers its reply
+    // before decrementing, so zero here means no reply is missing.
+    let idle = conn.out.in_flight.load(Ordering::SeqCst) == 0;
+    let mut write = conn.out.write.lock();
+    write.flush(&conn.out.stream, &shared.counters);
+    conn.want_write = write.pending();
+    let failed = write.failed;
+    drop(write);
+    !(failed || idle && !conn.want_write && conn.out.draining.load(Ordering::SeqCst))
+}
+
+/// The node's single event loop. It blocks in `poll(2)` on the wake
+/// socket, the listener and every connection, and runs one pass per
+/// wake-up: read, parse, dispatch and flush each connection, then
+/// accept. Dispatch workers write replies themselves, so the loop
+/// only wakes for new input, writable backlogged sockets, closes and
+/// shutdown.
+fn node_event_loop(listener: &TcpListener, jobs: &Sender<NodeJob>, shared: &NodeShared) {
+    let mut conns: Vec<NodeConn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut accept_paused_until: Option<Instant> = None;
     loop {
-        if shutdown.load(Ordering::Relaxed) {
+        let backoff = accept_paused_until.and_then(|until| {
+            let left = until.saturating_duration_since(Instant::now());
+            (!left.is_zero()).then_some(left)
+        });
+        let accepting = backoff.is_none();
+        fds.clear();
+        fds.push(PollFd::new(shared.wake_rx.as_raw_fd(), POLLIN));
+        fds.push(PollFd::new(
+            listener.as_raw_fd(),
+            if accepting { POLLIN } else { 0 },
+        ));
+        fds.extend(
+            conns
+                .iter()
+                .map(|conn| PollFd::new(conn.out.stream.as_raw_fd(), conn.interest())),
+        );
+        if poll::wait(&mut fds, backoff).is_err() || shared.shutdown.load(Ordering::SeqCst) {
+            // Dropping the connections shuts every socket down.
             return;
         }
-        let mut activity = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        if fds[0].revents() != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&shared.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        // A worker's wake does not say which connection it was for, so
+        // every connection is served; reads happen only where input
+        // was reported.
+        let mut polled = fds[2..].iter();
+        conns.retain_mut(|conn| {
+            let revents = polled.next().map_or(0, PollFd::revents);
+            node_service(conn, revents, jobs, shared)
+        });
+        if accepting && fds[1].revents() != 0 {
+            accept_paused_until = None;
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        let _ = stream.set_nodelay(true);
+                        conns.push(NodeConn::new(stream));
                     }
-                    let _ = stream.set_nodelay(true);
-                    next_gen += 1;
-                    let conn = NodeConn::new(stream, next_gen);
-                    match conns.iter_mut().position(|slot| slot.is_none()) {
-                        Some(slot) => conns[slot] = Some(conn),
-                        None => conns.push(Some(conn)),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => {
+                        accept_paused_until = Some(Instant::now() + NODE_ACCEPT_BACKOFF);
+                        break;
                     }
-                    activity = true;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
             }
-        }
-        while let Ok(completion) = done.try_recv() {
-            node_complete(&mut conns, completion, &mut in_flight_total);
-            activity = true;
-        }
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let Some(conn) = entry.as_mut() else {
-                continue;
-            };
-            if !conn.fatal && !conn.draining && node_read(conn, counters) {
-                activity = true;
-            }
-            if !conn.fatal {
-                node_parse(conn, slot, jobs, &mut in_flight_total, counters);
-            }
-            if !conn.fatal {
-                node_flush(conn, counters);
-            }
-            let drop_now = conn.fatal
-                || (conn.draining && conn.in_flight == 0 && conn.wpos >= conn.wbuf.len());
-            if drop_now {
-                *entry = None;
-                activity = true;
-            }
-        }
-        counters
-            .max_in_flight
-            .fetch_max(in_flight_total as u64, Ordering::Relaxed);
-        if activity {
-            last_activity = Instant::now();
-            continue;
-        }
-        if last_activity.elapsed() < NODE_SPIN_WINDOW {
-            std::thread::yield_now();
-        } else if let Ok(completion) = done.recv_timeout(NODE_IDLE_WAIT) {
-            node_complete(&mut conns, completion, &mut in_flight_total);
-            last_activity = Instant::now();
         }
     }
 }
@@ -1362,13 +1455,15 @@ fn node_event_loop(
 /// sharding story.
 ///
 /// A single poll-based event loop over nonblocking sockets owns every
-/// accepted connection: it serves a connection only once it opens
-/// with [`WIRE2_PREAMBLE`] (see [`crate::wire2`]), reassembles frames
-/// with a bounded read, and dispatches decoded requests to a small
-/// fixed pool of dispatch workers (whose completions the loop
-/// demultiplexes back onto the right connection by mux id). There is
-/// no thread-per-connection: hundreds of idle multiplexed clients
-/// cost one thread total.
+/// accepted connection: it blocks in `poll(2)` until a socket is
+/// ready, serves a connection only once it opens with
+/// [`WIRE2_PREAMBLE`] (see [`crate::wire2`]), reassembles frames with
+/// a bounded read, and dispatches decoded requests to a small fixed
+/// pool of dispatch workers. Each worker writes its reply straight to
+/// the request's connection, tagged with its mux id, and wakes the
+/// loop only when the socket did not take every byte. There is no
+/// thread-per-connection: hundreds of idle multiplexed clients cost
+/// one thread total, and an idle node uses no CPU.
 ///
 /// Requests the node serves run through the runtime's **full admission
 /// path** — shedding, canary split, key routing — exactly like local
@@ -1377,10 +1472,9 @@ fn node_event_loop(
 pub struct RemoteRuntimeNode {
     runtime: ServingRuntime,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<NodeShared>,
     event: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    counters: Arc<TransportCounters>,
 }
 
 impl std::fmt::Debug for RemoteRuntimeNode {
@@ -1421,47 +1515,42 @@ impl RemoteRuntimeNode {
         let listener = TcpListener::bind(addr).map_err(io)?;
         let local = listener.local_addr().map_err(io)?;
         listener.set_nonblocking(true).map_err(io)?;
-        let counters = Arc::new(TransportCounters::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (wake_tx, wake_rx) = UnixStream::pair().map_err(io)?;
+        wake_tx.set_nonblocking(true).map_err(io)?;
+        wake_rx.set_nonblocking(true).map_err(io)?;
+        let shared = Arc::new(NodeShared {
+            counters: TransportCounters::default(),
+            in_flight: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            wake_tx,
+            wake_rx,
+        });
         let (jobs_tx, jobs_rx) = unbounded::<NodeJob>();
-        let (done_tx, done_rx) = unbounded::<NodeDone>();
         let mut handles = Vec::with_capacity(workers.max(1));
         for i in 0..workers.max(1) {
             let jobs = jobs_rx.clone();
-            let done = done_tx.clone();
             let client = runtime.client();
-            let worker_counters = Arc::clone(&counters);
+            let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("willump-node-{i}"))
-                .spawn(move || node_worker(&jobs, &done, &client, &worker_counters))
+                .spawn(move || node_worker(&jobs, &client, &worker_shared))
                 .map_err(|e| ServeError::Transport(format!("spawn node worker: {e}")))?;
             handles.push(handle);
         }
-        // The event loop owns the only jobs sender and done receiver:
-        // its exit disconnects the channel and the workers drain out.
-        drop(done_tx);
+        // The event loop owns the only jobs sender: its exit
+        // disconnects the channel and the workers drain out.
         drop(jobs_rx);
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_counters = Arc::clone(&counters);
+        let loop_shared = Arc::clone(&shared);
         let event = std::thread::Builder::new()
             .name("willump-node-events".to_string())
-            .spawn(move || {
-                node_event_loop(
-                    &listener,
-                    &loop_shutdown,
-                    &jobs_tx,
-                    &done_rx,
-                    &loop_counters,
-                );
-            })
+            .spawn(move || node_event_loop(&listener, &jobs_tx, &loop_shared))
             .map_err(|e| ServeError::Transport(format!("spawn node event loop: {e}")))?;
         Ok(RemoteRuntimeNode {
             runtime,
             addr: local,
-            shutdown,
+            shared,
             event: Some(event),
             workers: handles,
-            counters,
         })
     }
 
@@ -1482,18 +1571,19 @@ impl RemoteRuntimeNode {
     /// all connections. `failures` and `reconnects` are client-side
     /// concepts and stay 0 here.
     pub fn transport_stats(&self) -> TransportStats {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// Stop accepting, drain the dispatch workers, and shut the
     /// hosted runtime down. Idempotent; also runs on drop. Parked
     /// client connections are dropped, not waited for.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The event loop re-checks the flag at least every
-        // NODE_IDLE_WAIT, so no wake-up connection is needed.
+        // The event loop waits with no timeout; the wake socket ends
+        // the wait and the loop sees the flag.
+        self.shared.wake();
         if let Some(handle) = self.event.take() {
             let _ = handle.join();
         }

@@ -838,3 +838,189 @@ proptest! {
         prop_assert!(clean(decode_response_payload(&bytes).map(drop)));
     }
 }
+
+// ---- the node's readiness loop -------------------------------------
+
+use std::collections::HashMap;
+use std::io::BufReader;
+use std::sync::{mpsc, Mutex};
+use willump_serve::wire2::{encode_frame, encode_header, read_frame, FrameType, MAX_FRAME_PAYLOAD};
+
+/// `Affine` behind a gate: each prediction first waits for one token,
+/// so a test holds a request in flight without sleeping.
+struct Gated(Mutex<mpsc::Receiver<()>>);
+impl Servable for Gated {
+    fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+        // A dropped sender (a failed test) opens the gate for good.
+        let _ = self.0.lock().map_err(|e| e.to_string())?.recv();
+        Affine.predict_table(table)
+    }
+}
+
+/// Scores per [`Fanout`] response: 512 KiB of payload each.
+const FANOUT: usize = 64 * 1024;
+
+/// Answers a one-row table with [`FANOUT`] copies of its `x` — a
+/// response thousands of times larger than its request — and reports
+/// each answer on a channel. Merged batches are refused, so the
+/// runtime serves every request on its own and each report is one
+/// request.
+struct Fanout(mpsc::Sender<()>);
+impl Servable for Fanout {
+    fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+        let xs = table
+            .column("x")
+            .ok_or_else(|| "missing x".to_string())?
+            .to_f64_vec()
+            .map_err(|e| e.to_string())?;
+        let [x] = xs[..] else {
+            return Err("one row per request".to_string());
+        };
+        let _ = self.0.send(());
+        Ok(vec![x; FANOUT])
+    }
+}
+
+/// A node hosting `endpoints` with `dispatchers` dispatch workers.
+fn node_with(endpoints: Vec<(&str, Arc<dyn Servable>)>, dispatchers: usize) -> RemoteRuntimeNode {
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(2).build());
+    for (name, servable) in endpoints {
+        b.endpoint(name, servable);
+    }
+    let runtime = b.build().expect("child builds");
+    RemoteRuntimeNode::bind_with_workers("127.0.0.1:0", runtime, dispatchers).expect("node binds")
+}
+
+/// Connect a raw wire2 client: send the preamble, consume the
+/// `HelloAck`, and return the negotiated stream halves.
+fn raw_wire2_client(node: &RemoteRuntimeNode) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(node.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(WIRE2_PREAMBLE).expect("preamble");
+    let (hdr, _) = read_frame(&mut reader).expect("ack").expect("not eof");
+    assert_eq!(hdr.frame_type, FrameType::HelloAck);
+    (writer, reader)
+}
+
+/// One binary request frame for `endpoint` with a single row `x`.
+fn request_frame(endpoint: &str, mux_id: u32, x: f64) -> Vec<u8> {
+    let req = Request {
+        endpoint: Some(endpoint.to_string()),
+        ..Request::new(u64::from(mux_id), wire_rows(&[x]))
+    };
+    encode_frame(FrameType::BinRequest, mux_id, &encode_request_payload(&req)).expect("encodes")
+}
+
+/// Every remaining frame on a connection up to EOF, as
+/// `(mux id, decoded response)`.
+fn frames_to_eof(reader: &mut BufReader<TcpStream>) -> Vec<(u32, Response)> {
+    let mut frames = Vec::new();
+    while let Some((hdr, payload)) = read_frame(reader).expect("a whole frame or EOF") {
+        assert_eq!(hdr.frame_type, FrameType::BinResponse);
+        let resp = decode_response_payload(&payload).expect("decodes");
+        frames.push((hdr.request_id, resp));
+    }
+    frames
+}
+
+/// A rejected oversized header is answered once, even while an
+/// earlier request on the same connection is still executing; the
+/// connection then finishes that request and closes.
+#[test]
+fn rejected_oversized_header_is_answered_once_while_work_is_in_flight() {
+    let (open_gate, gate) = mpsc::channel();
+    let node = node_with(vec![("gated", Arc::new(Gated(Mutex::new(gate))))], 2);
+    let (mut writer, mut reader) = raw_wire2_client(&node);
+    writer
+        .write_all(&request_frame("gated", 7, 2.0))
+        .expect("writes");
+    writer
+        .write_all(&encode_header(
+            FrameType::BinRequest,
+            9,
+            MAX_FRAME_PAYLOAD + 1,
+        ))
+        .expect("writes");
+    // Request 7 is held at the gate, so the first frame back is the
+    // rejection of frame 9.
+    let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
+    assert_eq!(hdr.request_id, 9);
+    let err = decode_response_payload(&payload)
+        .expect("decodes")
+        .error
+        .expect("is an error");
+    assert!(err.contains("exceeds"), "got: {err}");
+    open_gate.send(()).expect("gate open");
+    // Then request 7's answer, nothing else, and EOF.
+    let rest = frames_to_eof(&mut reader);
+    let ids: Vec<u32> = rest.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, vec![7], "the rejection must not be answered again");
+    assert_eq!(rest[0].1.scores, vec![5.0]);
+    assert_eq!(node.transport_stats().decode_errors, 1);
+}
+
+/// A client that pipelines requests but reads nothing backs its
+/// connection up far past the socket buffers. The dispatch workers
+/// must not block on that socket: another client on the same node is
+/// still served, and once the slow client reads it gets every
+/// response intact, each exactly once.
+#[test]
+fn backlogged_connection_does_not_stall_the_node() {
+    const REQUESTS: u32 = 48;
+    let (answered, answers) = mpsc::channel();
+    // Two dispatch workers: a worker blocked on the full socket would
+    // stall the pool well before the last fan-out request runs.
+    let node = node_with(
+        vec![
+            ("fan", Arc::new(Fanout(answered))),
+            ("affine", Arc::new(Affine)),
+        ],
+        2,
+    );
+    let (mut writer, mut reader) = raw_wire2_client(&node);
+    for id in 1..=REQUESTS {
+        writer
+            .write_all(&request_frame("fan", id, f64::from(id)))
+            .expect("writes");
+    }
+    for _ in 0..REQUESTS {
+        answers
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every fan-out request runs while its client reads nothing");
+    }
+    let worker =
+        RemoteWorker::new(&node.local_addr().to_string()).with_timeout(Duration::from_secs(30));
+    let reply = worker
+        .forward_request(&Request {
+            endpoint: Some("affine".to_string()),
+            ..Request::new(1, wire_rows(&[2.0]))
+        })
+        .expect("the node serves another client meanwhile");
+    assert_eq!(reply.response.scores, vec![5.0]);
+    let response_bytes = u64::from(REQUESTS) * (FANOUT as u64 * 8);
+    let sent = node.transport_stats().bytes_sent;
+    assert!(
+        sent < response_bytes,
+        "the socket buffers absorbed every response ({sent} bytes sent): no backlog formed"
+    );
+    let mut seen: HashMap<u32, usize> = HashMap::new();
+    for _ in 0..REQUESTS {
+        let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
+        let resp = decode_response_payload(&payload).expect("decodes");
+        let x = f64::from(hdr.request_id);
+        assert!(resp.error.is_none(), "{:?}", resp.error);
+        assert_eq!(resp.scores.len(), FANOUT);
+        assert!(
+            resp.scores.iter().all(|&s| s == x),
+            "response {x} is intact"
+        );
+        *seen.entry(hdr.request_id).or_default() += 1;
+    }
+    assert_eq!(seen.len(), REQUESTS as usize);
+    assert!(seen.values().all(|&n| n == 1), "each mux id exactly once");
+}

@@ -26,6 +26,7 @@
 //! used to check by hand.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
